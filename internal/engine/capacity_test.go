@@ -29,7 +29,7 @@ func TestReportCarriesCapacity(t *testing.T) {
 		t.Errorf("footprint root %q, want run", c.Footprint.Name)
 	}
 	// Every stateful component the issue names must appear in the tree.
-	for _, path := range []string{"run.table", "run.model", "run.partition", "run.engine"} {
+	for _, path := range []string{"run.table", "run.model", "run.model.weights_transposed", "run.partition", "run.engine"} {
 		if n, ok := c.Footprint.Find(path); !ok || n.Bytes <= 0 {
 			t.Errorf("footprint missing or empty branch %s", path)
 		}

@@ -75,18 +75,31 @@ func (st *parallelState) stateBytes() int64 {
 	return total
 }
 
+func (m *WDL) linears() []*Linear { return append([]*Linear{m.wide}, m.deep...) }
+
+func (m *DCN) linears() []*Linear { return append([]*Linear{m.final}, m.deep...) }
+
+func (m *DeepFM) linears() []*Linear { return append([]*Linear{m.wide}, m.deep...) }
+
 // Footprint reports the wrapped network's dense weights plus the given
 // activation states (one per engine worker) as a memacct tree. The weights
 // leaf is ParamCount × 4 bytes — the flattened parameter vector every
-// AllReduce round moves; activation shards are the batch-parallel scratch
-// NewState allocated.
+// AllReduce round moves; weights_transposed is the Wᵀ copy each Linear layer
+// keeps for its backward pass (0 for a network that lists no layers);
+// activation shards are the batch-parallel scratch NewState allocated.
 func (p *Parallel) Footprint(states []State) memacct.Footprint {
-	var act int64
+	var act, wt int64
 	for _, st := range states {
 		act += StateBytes(st)
 	}
+	if n, ok := p.net.(interface{ linears() []*Linear }); ok {
+		for _, l := range n.linears() {
+			wt += matBytes(l.wt)
+		}
+	}
 	return memacct.Node("model",
 		memacct.Leaf("weights", int64(p.ParamCount())*4),
+		memacct.Leaf("weights_transposed", wt),
 		memacct.Leaf("activations", act),
 	)
 }

@@ -21,12 +21,19 @@ type Linear struct {
 	In, Out int
 	W       *tensor.Matrix // In×Out
 	B       []float32
+	// wt caches Wᵀ (Out×In) so backward computes dIn = dOut·Wᵀ as a plain
+	// MatMul with no per-call transpose. NewLinear and unflatten, the only
+	// writers of W, refresh it; both run in the serial phase, so concurrent
+	// Forward/Backward share it read-only exactly as they share W.
+	wt *tensor.Matrix
 }
 
 // NewLinear allocates a Xavier-initialised layer.
 func NewLinear(in, out int, rng *xrand.RNG) *Linear {
-	l := &Linear{In: in, Out: out, W: tensor.NewMatrix(in, out), B: make([]float32, out)}
+	l := &Linear{In: in, Out: out, W: tensor.NewMatrix(in, out), B: make([]float32, out),
+		wt: tensor.NewMatrix(out, in)}
 	l.W.XavierInit(rng)
+	tensor.Transpose(l.wt, l.W)
 	return l
 }
 
@@ -88,7 +95,7 @@ func (l *Linear) backward(st *linearState, dOut *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	dIn := &tensor.Matrix{Rows: rows, Cols: l.In, Data: st.dIn.Data[:rows*l.In]}
-	tensor.MatMulABT(dIn, dOut, l.W)
+	tensor.MatMul(dIn, dOut, l.wt)
 	return dIn
 }
 
@@ -101,6 +108,7 @@ func (l *Linear) flatten(dst []float32) []float32 {
 // unflatten reads the layer's parameters from src and returns the tail.
 func (l *Linear) unflatten(src []float32) []float32 {
 	copy(l.W.Data, src[:len(l.W.Data)])
+	tensor.Transpose(l.wt, l.W)
 	src = src[len(l.W.Data):]
 	copy(l.B, src[:len(l.B)])
 	return src[len(l.B):]

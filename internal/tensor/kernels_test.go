@@ -30,6 +30,20 @@ func refScale(alpha float32, x []float32) {
 	}
 }
 
+func refMatMul(dst, a, b *Matrix) { copy(dst.Data, naiveMatMul(a, b).Data) }
+
+func refMatMulATB(dst, a, b *Matrix) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for r := 0; r < a.Rows; r++ {
+				s += a.At(r, i) * b.At(r, j)
+			}
+			dst.Set(i, j, s)
+		}
+	}
+}
+
 func refMatMulABT(dst, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
@@ -81,28 +95,6 @@ func TestAxpyScaleBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulABTBitIdentical pins the tiled kernel's exactness: tiling runs
-// eight output elements per pass but each element is still one
-// left-to-right k-sum, so the result must match the straight-line version
-// bit for bit at any shape, including j-tails of 1..7 rows.
-func TestMatMulABTBitIdentical(t *testing.T) {
-	r := xrand.New(11)
-	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {7, 9, 13}, {16, 6, 8}, {5, 17, 33}, {9, 15, 7}, {2, 23, 5}, {6, 8, 16}} {
-		m, n, k := shape[0], shape[1], shape[2]
-		a := &Matrix{Rows: m, Cols: k, Data: randSlice(r, m*k)}
-		b := &Matrix{Rows: n, Cols: k, Data: randSlice(r, n*k)}
-		got := NewMatrix(m, n)
-		want := NewMatrix(m, n)
-		MatMulABT(got, a, b)
-		refMatMulABT(want, a, b)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shape %v: element %d differs: %v vs %v", shape, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 // TestDotULPBound documents and bounds the one deliberate reassociation:
 // Dot sums in eight chains, so it may differ from the left-to-right
 // reference by rounding only. Both float32 sums are compared against a
@@ -145,60 +137,6 @@ func TestDotExactTail(t *testing.T) {
 	}
 }
 
-// TestMatMulABTRangeMatchesWhole pins the row-range contract the
-// batch-parallel compute path relies on: computing dst in arbitrary
-// disjoint [lo, hi) chunks — including empty and single-row ranges — yields
-// exactly the bits of one whole-matrix MatMulABT, and rows outside the
-// range are never written.
-func TestMatMulABTRangeMatchesWhole(t *testing.T) {
-	r := xrand.New(23)
-	const m, n, k = 13, 11, 9
-	a := &Matrix{Rows: m, Cols: k, Data: randSlice(r, m*k)}
-	b := &Matrix{Rows: n, Cols: k, Data: randSlice(r, n*k)}
-	want := NewMatrix(m, n)
-	MatMulABT(want, a, b)
-	for _, cuts := range [][]int{{0, m}, {0, 0, m, m}, {0, 5, 13}, {0, 1, 2, 7, 13}, {0, 4, 4, 8, 13}} {
-		got := NewMatrix(m, n)
-		for i := 0; i+1 < len(cuts); i++ {
-			MatMulABTRange(got, a, b, cuts[i], cuts[i+1])
-		}
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("cuts %v: element %d differs: %v vs %v", cuts, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-	// Untouched rows stay untouched: fill with a sentinel, compute the
-	// middle range only, and check the outside survived.
-	got := NewMatrix(m, n)
-	for i := range got.Data {
-		got.Data[i] = 42
-	}
-	MatMulABTRange(got, a, b, 4, 9)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			inRange := i >= 4 && i < 9
-			if inRange && got.At(i, j) != want.At(i, j) {
-				t.Fatalf("in-range element (%d,%d) wrong", i, j)
-			}
-			if !inRange && got.At(i, j) != 42 {
-				t.Fatalf("out-of-range element (%d,%d) clobbered", i, j)
-			}
-		}
-	}
-	// Out-of-bounds ranges are programming errors, not silent truncation.
-	for _, bad := range [][2]int{{-1, 2}, {3, m + 1}, {5, 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("range [%d,%d) did not panic", bad[0], bad[1])
-				}
-			}()
-			MatMulABTRange(got, a, b, bad[0], bad[1])
-		}()
-	}
-}
-
 func BenchmarkDot(b *testing.B) {
 	r := xrand.New(3)
 	x := randSlice(r, 256)
@@ -230,29 +168,5 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Axpy(0.5, x, y)
-	}
-}
-
-func BenchmarkMatMulABT(b *testing.B) {
-	r := xrand.New(3)
-	a := &Matrix{Rows: 64, Cols: 128, Data: randSlice(r, 64*128)}
-	bm := &Matrix{Rows: 96, Cols: 128, Data: randSlice(r, 96*128)}
-	dst := NewMatrix(64, 96)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABT(dst, a, bm)
-	}
-}
-
-func BenchmarkMatMulABTReference(b *testing.B) {
-	r := xrand.New(3)
-	a := &Matrix{Rows: 64, Cols: 128, Data: randSlice(r, 64*128)}
-	bm := &Matrix{Rows: 96, Cols: 128, Data: randSlice(r, 96*128)}
-	dst := NewMatrix(64, 96)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refMatMulABT(dst, a, bm)
 	}
 }

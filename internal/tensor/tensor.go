@@ -63,7 +63,7 @@ func (m *Matrix) XavierInit(r *xrand.RNG) {
 }
 
 // axpyCore is the shared 8-wide unrolled kernel behind Axpy and the inner
-// loops of MatMul/MatMulATB: y[i] += alpha·x[i]. Each element runs exactly
+// loop of gemmRows: y[i] += alpha·x[i]. Each element runs exactly
 // one multiply-add, so the unrolled sweep is bit-identical to the straight
 // loop at any length; the unroll only breaks the loop-carried bookkeeping so
 // the eight independent element updates can issue back to back (FMA-shaped:
@@ -88,108 +88,150 @@ func axpyCore(alpha float32, x, y []float32) {
 	}
 }
 
+// aStrides returns the element strides of the gemm a-operand A, whose (i, k)
+// entry is a[i*aRow+k*aK]: an m×kk row-major matrix, or with transA the
+// transpose of a kk×m one. Either way a spans exactly m·kk elements.
+func aStrides(transA bool, m, kk int) (aRow, aK int) {
+	if transA {
+		return 1, m
+	}
+	return kk, 1
+}
+
+// gemmRows is the portable GEMM kernel. For rows i in [i0, i1) and columns j
+// in [j0, n) of the m×n matrix dst it computes
+//
+//	dst[i*n+j] = Σ_k A(i,k)·b[k*n+j]
+//
+// with A laid out as aStrides describes and b a kk×n row-major matrix. Each
+// element is one left-to-right float32 sum over k starting from +0, whatever
+// the row or column range, so any tiling of dst yields the same bits. The
+// inner loop is a saxpy along the dst row; zero A-entries (half of a
+// post-ReLU operand) are skipped, which cannot change a finite sum.
+//
+// It is the whole implementation off amd64, and on amd64 both the edge
+// handler of the SSE2 panels and the oracle their tests compare against.
+func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 int) {
+	if j0 >= n {
+		return
+	}
+	aRow, aK := aStrides(transA, m, kk)
+	for i := i0; i < i1; i++ {
+		drow := dst[i*n+j0 : (i+1)*n]
+		for j := range drow {
+			drow[j] = 0
+		}
+		for k := 0; k < kk; k++ {
+			aik := a[i*aRow+k*aK]
+			if aik == 0 {
+				continue
+			}
+			axpyCore(aik, b[k*n+j0:(k+1)*n], drow)
+		}
+	}
+}
+
 // MatMul computes dst = a · b. dst must be pre-allocated with shape
 // a.Rows×b.Cols and must not alias a or b. It panics on shape mismatch.
+// Every dst element is the left-to-right float32 sum over k.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch: (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	// ikj loop order: the inner loop walks both b and dst rows sequentially.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			axpyCore(aik, b.Row(k), drow)
+	m, kk, n := a.Rows, a.Cols, b.Cols
+	d, x, w := dst.Data[:m*n], a.Data[:m*kk], b.Data[:kk*n]
+	if n == 1 {
+		matVec(d, x, w)
+		return
+	}
+	gemm(d, x, false, w, m, n, kk)
+}
+
+// matVec is MatMul for a one-column b (every logit head): dst[i] = Σ_k
+// a[i][k]·v[k] as a plain dot loop, k ascending. Four rows run together so
+// their four independent add chains overlap; each sum's order is untouched.
+func matVec(dst, a, v []float32) {
+	kk := len(v)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := a[i*kk : (i+1)*kk : (i+1)*kk]
+		r1 := a[(i+1)*kk : (i+2)*kk : (i+2)*kk]
+		r2 := a[(i+2)*kk : (i+3)*kk : (i+3)*kk]
+		r3 := a[(i+3)*kk : (i+4)*kk : (i+4)*kk]
+		var s0, s1, s2, s3 float32
+		for k, vk := range v {
+			s0 += r0[k] * vk
+			s1 += r1[k] * vk
+			s2 += r2[k] * vk
+			s3 += r3[k] * vk
 		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		row := a[i*kk : (i+1)*kk]
+		var s float32
+		for k, vk := range v {
+			s += row[k] * vk
+		}
+		dst[i] = s
 	}
 }
 
 // MatMulATB computes dst = aᵀ · b, used for weight gradients
-// (dW = xᵀ · dy). dst must have shape a.Cols×b.Cols.
+// (dW = xᵀ · dy). dst must have shape a.Cols×b.Cols. Every dst element is
+// the left-to-right float32 sum over a's rows.
 func MatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch: (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Row(r)
-		brow := b.Row(r)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyCore(av, brow, dst.Row(i))
+	m, kk, n := a.Cols, a.Rows, b.Cols
+	d, x, w := dst.Data[:m*n], a.Data[:m*kk], b.Data[:kk*n]
+	if n == 1 {
+		// dst is a vector: one saxpy of a's row r per b[r], r ascending.
+		for i := range d {
+			d[i] = 0
 		}
+		for r, br := range w {
+			if br != 0 {
+				axpyCore(br, x[r*m:(r+1)*m], d)
+			}
+		}
+		return
 	}
+	gemm(d, x, true, w, m, n, kk)
 }
 
 // MatMulABT computes dst = a · bᵀ, used for input gradients
-// (dx = dy · Wᵀ). dst must have shape a.Rows×b.Rows.
+// (dx = dy · Wᵀ). dst must have shape a.Rows×b.Rows. Every dst element is
+// the left-to-right float32 sum over k, so it is MatMul over bᵀ; a vector b
+// is its own transpose, any other b is transposed into a scratch matrix
+// allocated per call. A caller that reuses b keeps bᵀ (Transpose) and calls
+// MatMul itself, as nn.Linear does.
 func MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	MatMulABTRange(dst, a, b, 0, a.Rows)
+	bt := &Matrix{Rows: b.Cols, Cols: b.Rows, Data: b.Data}
+	if b.Rows > 1 && b.Cols > 1 {
+		bt = NewMatrix(b.Cols, b.Rows)
+		Transpose(bt, b)
+	}
+	MatMul(dst, a, bt)
 }
 
-// MatMulABTRange computes rows [lo, hi) of dst = a · bᵀ, leaving every
-// other dst row untouched. It is the batched entry point the row-range
-// compute workers call: ranges of a batch write disjoint dst row blocks, so
-// concurrent calls over disjoint [lo, hi) are race-free, and each dst
-// element is always the same left-to-right sum over k regardless of how
-// the rows are split — the range decomposition is bit-identical to one
-// whole-matrix MatMulABT.
-//
-// The j loop is tiled eight b-rows at a time: one pass over arow feeds
-// eight independent accumulator chains, so arow loads amortise across eight
-// output elements and the chains overlap in the pipeline. Every dst element
-// is still one left-to-right sum over k, so the tiled kernel is
-// bit-identical to the straight-line version.
-func MatMulABTRange(dst, a, b *Matrix, lo, hi int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABTRange shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// Transpose writes srcᵀ into dst, which must have shape src.Cols×src.Rows
+// and must not alias src.
+func Transpose(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch: (%dx%d)ᵀ->(%dx%d)",
+			src.Rows, src.Cols, dst.Rows, dst.Cols))
 	}
-	if lo < 0 || hi > a.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: MatMulABTRange rows [%d,%d) outside [0,%d]", lo, hi, a.Rows))
-	}
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		j := 0
-		for ; j+8 <= b.Rows; j += 8 {
-			b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-			b4, b5, b6, b7 := b.Row(j+4), b.Row(j+5), b.Row(j+6), b.Row(j+7)
-			var s0, s1, s2, s3, s4, s5, s6, s7 float32
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-				s4 += av * b4[k]
-				s5 += av * b5[k]
-				s6 += av * b6[k]
-				s7 += av * b7[k]
-			}
-			d8 := drow[j : j+8 : j+8]
-			d8[0], d8[1], d8[2], d8[3] = s0, s1, s2, s3
-			d8[4], d8[5], d8[6], d8[7] = s4, s5, s6, s7
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*src.Rows+i] = v
 		}
 	}
 }

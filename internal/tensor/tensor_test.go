@@ -316,25 +316,3 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkMatMul64(b *testing.B) {
-	r := xrand.New(1)
-	a := randomMatrix(64, 64, r)
-	c := randomMatrix(64, 64, r)
-	dst := NewMatrix(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, c)
-	}
-}
-
-func BenchmarkMatMulBatch256(b *testing.B) {
-	r := xrand.New(1)
-	a := randomMatrix(256, 832, r) // batch × (26 fields × 32 dim)
-	w := randomMatrix(832, 64, r)
-	dst := NewMatrix(256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, w)
-	}
-}
