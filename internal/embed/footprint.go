@@ -32,8 +32,10 @@ func (t *Table) Footprint() obs.Footprint {
 		i32Bytes   = 4
 		i64Bytes   = 8
 		f64Bytes   = 8
+		u64Bytes   = 8
 		queueEntry = int64(unsafe.Sizeof(primaryUpdate{}))
 		ownerEntry = int64(unsafe.Sizeof(OwnerTraffic{}))
+		rankEntry  = int64(unsafe.Sizeof(freqRank{}))
 	)
 
 	var (
@@ -54,9 +56,10 @@ func (t *Table) Footprint() obs.Footprint {
 		}
 		queueArena += int64(cap(sh.arena)) * f32Bytes
 		fuseIdx += int64(len(sh.fuseGen))*4 + int64(len(sh.fuseSlot))*i32Bytes
-		scratch += int64(len(sh.perOwner))*ownerEntry + int64(cap(sh.interOrder))*i32Bytes
+		scratch += int64(cap(sh.perOwner))*ownerEntry + int64(cap(sh.rowOf))*i32Bytes +
+			int64(cap(sh.rankKeys))*u64Bytes
 	}
-	scratch += int64(len(t.freq)) * f64Bytes
+	scratch += int64(len(t.freqRank)) * rankEntry
 	scratch += int64(len(t.stepNormShard)) * f64Bytes
 	for _, row := range t.normScratch {
 		scratch += int64(len(row)) * f32Bytes

@@ -1,9 +1,12 @@
 package embed
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"hetgmp/internal/partition"
+	"hetgmp/internal/tensor"
 )
 
 // buildPlanShapedTable constructs a table whose shape matches PlanCapacity's
@@ -149,6 +152,49 @@ func TestTieredFootprintAccountsAllStructures(t *testing.T) {
 	shards := (ts.ColdRows + 99) / 100 // testTiers uses 100-row shards
 	if want := int64(ts.ColdRows)*int64(tbl.Dim())*4 + int64(shards)*rowShardHeader; get("table.primary.cold") != want {
 		t.Fatalf("cold mapping %d bytes, want %d", get("table.primary.cold"), want)
+	}
+}
+
+// TestFootprintCountsEveryShardScratchSlice walks the shard struct by
+// reflection: every field that is not one of the replica / queue structures
+// the tree reports under their own leaves must be a scratch slice, and the
+// "scratch" leaf must be exactly their capacities plus the table-level
+// rank/frequency entries. A scratch slice added to shard without a line in
+// Footprint fails here.
+func TestFootprintCountsEveryShardScratchSlice(t *testing.T) {
+	tbl, sets := readBenchFixture(t, 4000, 500, 4)
+	dst := tensor.NewMatrix(500, 4)
+	for w, feats := range sets { // grow rowOf and the key buffers
+		tbl.Read(w, feats, dst, ReadOptions{Staleness: 100, InterCheck: true, Normalize: true})
+	}
+	accountedElsewhere := map[string]bool{
+		"index": true, "feats": true, "vals": true, "pending": true, "pendCnt": true, "baseClock": true, // replicas.*
+		"queues": true, "arena": true, "fuseGen": true, "fuseSlot": true, "gen": true, // queues.*
+	}
+	want := int64(len(tbl.freqRank)) * int64(unsafe.Sizeof(freqRank{}))
+	for _, sh := range tbl.shards {
+		v := reflect.ValueOf(sh).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if accountedElsewhere[name] {
+				continue
+			}
+			f := v.Field(i)
+			if f.Kind() != reflect.Slice {
+				t.Fatalf("shard.%s is neither a scratch slice nor listed as accounted under another leaf", name)
+			}
+			if f.Cap() == 0 {
+				t.Fatalf("shard.%s was not grown by the reads above; the test cannot see whether it is counted", name)
+			}
+			want += int64(f.Cap()) * int64(f.Type().Elem().Size())
+		}
+	}
+	fp := tbl.Footprint()
+	if err := fp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := fp.Find("table.scratch"); !ok || n.Bytes != want {
+		t.Fatalf("scratch leaf is %d bytes, the shards' scratch slices and the rank table hold %d", n.Bytes, want)
 	}
 }
 

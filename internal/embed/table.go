@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"hetgmp/internal/invariant"
@@ -160,8 +159,10 @@ type Table struct {
 
 	shards []*shard
 
-	// freq is the relative access frequency used by clock normalisation.
-	freq []float64
+	// freqRank holds each feature's access frequency and its rank in the
+	// static (frequency descending, id ascending) order the normalised
+	// inter-embedding check sweeps in. Nil when Config.Freq is.
+	freqRank []freqRank
 
 	// check enforces runtime invariants when non-nil.
 	check *invariant.Checker
@@ -212,9 +213,13 @@ type shard struct {
 	fuseSlot []int32
 	gen      uint32
 
-	interOrder []int32
-	// scratch reused by Read/Update.
+	// scratch reused by Read/Update. rowOf[i] is the secondary row Read
+	// resolved feats[i] to, or -1 when the primary clock speaks for it (local
+	// primary or remote miss); rankKeys is the inter-embedding check's two
+	// sort buffers, one per half (see sortRankKeys).
 	perOwner []OwnerTraffic
+	rowOf    []int32
+	rankKeys []uint64
 }
 
 // resetQueues empties every owner bucket and the delta arena, retaining
@@ -435,13 +440,7 @@ func NewTable(cfg Config) (*Table, error) {
 		}
 	}
 	if cfg.Freq != nil {
-		t.freq = make([]float64, cfg.NumFeatures)
-		for x, f := range cfg.Freq {
-			if f < 1 {
-				f = 1
-			}
-			t.freq[x] = float64(f)
-		}
+		t.freqRank = buildFreqRanks(cfg.Freq)
 	}
 	t.shards = make([]*shard, t.n)
 	for w := 0; w < t.n; w++ {
@@ -556,12 +555,17 @@ func (t *Table) Read(w int, feats []int32, dst *tensor.Matrix, opt ReadOptions) 
 	for i := range sh.perOwner {
 		sh.perOwner[i] = OwnerTraffic{}
 	}
+	if cap(sh.rowOf) < len(feats) {
+		sh.rowOf = make([]int32, len(feats))
+	}
+	rowOf := sh.rowOf[:len(feats)]
 
 	for i, x := range feats {
 		owner := t.assign.PrimaryOf[x]
 		if owner == w {
 			copy(dst.Row(i), t.store.rowRead(w, x))
 			stats.LocalPrimary++
+			rowOf[i] = -1
 			continue
 		}
 		row, ok := sh.index[x]
@@ -572,8 +576,10 @@ func (t *Table) Read(w int, feats []int32, dst *tensor.Matrix, opt ReadOptions) 
 			stats.RemoteReads++
 			sh.perOwner[owner].MetaKeys++
 			sh.perOwner[owner].SyncVecs++
+			rowOf[i] = -1
 			continue
 		}
+		rowOf[i] = row
 		// Intra-embedding synchronisation point: the clock exchange is one
 		// key of metadata per secondary per read regardless of outcome.
 		sh.perOwner[owner].MetaKeys++
@@ -594,10 +600,10 @@ func (t *Table) Read(w int, feats []int32, dst *tensor.Matrix, opt ReadOptions) 
 	}
 
 	if opt.InterCheck && opt.Staleness != StalenessInf {
-		stats.SyncedInter = t.interCheck(w, sh, feats, dst, opt)
+		stats.SyncedInter = t.interCheck(w, sh, feats, rowOf, dst, opt)
 	}
 	if t.check != nil {
-		t.verifyReadBound(w, sh, feats, opt.Staleness)
+		t.verifyReadBound(w, sh, feats, rowOf, opt.Staleness)
 	}
 	if m := t.met; m != nil {
 		for _, x := range feats {
@@ -619,11 +625,11 @@ func (t *Table) Read(w int, feats []int32, dst *tensor.Matrix, opt ReadOptions) 
 // the worker holds for the read set lags its primary by more than s. The
 // observed gap is also fed to the checker so tests can compare the maximum
 // staleness different protocols actually exhibit (ASP ⊇ Bounded ⊇ BSP).
-func (t *Table) verifyReadBound(w int, sh *shard, feats []int32, s int64) {
+func (t *Table) verifyReadBound(w int, sh *shard, feats, rowOf []int32, s int64) {
 	ck := t.check
-	for _, x := range feats {
-		row, ok := sh.index[x]
-		if !ok || t.assign.PrimaryOf[x] == w {
+	for i, x := range feats {
+		row := rowOf[i]
+		if row < 0 {
 			continue
 		}
 		gap := t.primaryClock[x] - sh.baseClock[row]
@@ -648,104 +654,103 @@ func (t *Table) verifyReadBound(w int, sh *shard, feats []int32, s int64) {
 // scale, so a hot embedding's fast-moving clock does not spuriously mark
 // its slow partners (or itself) stale.
 //
-// The check is evaluated in O(m log m): members are sorted by frequency
+// The check is evaluated in O(m): members are visited by frequency
 // descending, and each element x is compared against the maximum ratio
 // among partners at least as frequent — for those pairs min(p) = p_x
-// exactly. Pairs where the *stale* element is the more frequent one have
-// gap p_partner·Δr ≤ s almost always (the partner's whole clock c_partner
-// must exceed s); those replicas remain bounded by the intra-embedding
-// check against their own primaries.
-func (t *Table) interCheck(w int, sh *shard, feats []int32, dst *tensor.Matrix, opt ReadOptions) int {
-	ratio := func(x int32) float64 {
-		c, ok := t.ReplicaClock(w, x)
-		if !ok || t.assign.PrimaryOf[x] == w {
-			c = t.primaryClock[x]
-		}
-		if opt.Normalize && t.freq != nil {
-			return float64(c) / t.freq[x]
-		}
-		return float64(c)
-	}
-
-	if !opt.Normalize || t.freq == nil {
+// exactly. The visiting order (frequency descending, feature id ascending)
+// is a property of the table, not of the read set, so NewTable ranks every
+// feature in it once (buildFreqRanks) and a Read only radix-sorts its
+// members' ranks (sortRankKeys). Pairs where the *stale* element is the
+// more frequent one have gap p_partner·Δr ≤ s almost always (the partner's
+// whole clock c_partner must exceed s); those replicas remain bounded by
+// the intra-embedding check against their own primaries.
+//
+// rowOf is Read's per-position replica lookup, so the check never touches
+// sh.index: a position's clock is replicaClock(sh, x, rowOf[i]).
+func (t *Table) interCheck(w int, sh *shard, feats, rowOf []int32, dst *tensor.Matrix, opt ReadOptions) int {
+	bound := float64(opt.Staleness)
+	synced := 0
+	if !opt.Normalize || t.freqRank == nil {
 		// Raw clocks: every pair shares the unit, so the arg-max element
 		// dominates all pairs and a single maximum suffices.
 		rmax := math.Inf(-1)
-		for _, x := range feats {
-			if r := ratio(x); r > rmax {
+		for i, x := range feats {
+			if r := float64(t.replicaClock(sh, x, rowOf[i])); r > rmax {
 				rmax = r
 			}
 		}
-		synced := 0
 		for i, x := range feats {
-			owner := t.assign.PrimaryOf[x]
-			if owner == w {
-				continue
+			row := rowOf[i]
+			if row < 0 {
+				continue // a primary, local or just fetched, is never stale
 			}
-			row, ok := sh.index[x]
-			if !ok {
-				continue // remote reads already returned the fresh primary
-			}
-			if rmax-ratio(x) > float64(opt.Staleness) {
-				if t.primaryClock[x] > sh.baseClock[row] {
-					t.syncSecondary(w, sh, x, row, owner)
-					synced++
-				}
-				copy(dst.Row(i), sh.vals.Row(int(row)))
+			if rmax-float64(t.replicaClock(sh, x, row)) > bound {
+				synced += t.interSync(w, sh, x, row, dst.Row(i))
 			}
 			if t.check != nil {
-				t.checkInterBound(w, sh, x, row, rmax-ratio(x), opt.Staleness)
+				t.checkInterBound(w, sh, x, row, rmax-float64(t.replicaClock(sh, x, row)), opt.Staleness)
 			}
 		}
 		return synced
 	}
 
-	// Normalised clocks: order by frequency descending and keep a running
+	// Normalised clocks: visit by frequency descending and keep a running
 	// maximum of the ratios seen so far, so each element compares against
 	// exactly the partners with p ≥ its own.
-	if cap(sh.interOrder) < len(feats) {
-		sh.interOrder = make([]int32, len(feats))
+	m := len(feats)
+	if cap(sh.rankKeys) < 2*m {
+		sh.rankKeys = make([]uint64, 2*m)
 	}
-	order := sh.interOrder[:len(feats)]
-	for i := range order {
-		order[i] = int32(i)
+	keys := sh.rankKeys[:m]
+	for i, x := range feats {
+		keys[i] = uint64(t.freqRank[x].rank)<<32 | uint64(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := t.freq[feats[order[a]]], t.freq[feats[order[b]]]
-		if fa != fb {
-			return fa > fb
-		}
-		return feats[order[a]] < feats[order[b]]
-	})
-	synced := 0
+	keys = sortRankKeys(keys, sh.rankKeys[m:2*m], uint32(len(t.freqRank)-1))
 	prefixMax := math.Inf(-1)
-	for _, oi := range order {
-		x := feats[oi]
-		r := ratio(x)
-		gap := (prefixMax - r) * t.freq[x] // min(p) = p_x for partners so far
+	for _, k := range keys {
+		i := int(uint32(k))
+		x, row := feats[i], rowOf[i]
+		p := float64(t.freqRank[x].freq)
+		r := float64(t.replicaClock(sh, x, row)) / p
+		gap := (prefixMax - r) * p // min(p) = p_x for partners so far
 		if r > prefixMax {
 			prefixMax = r
 		}
-		owner := t.assign.PrimaryOf[x]
-		if owner == w {
+		if row < 0 {
 			continue
 		}
-		row, ok := sh.index[x]
-		if !ok {
-			continue
-		}
-		if gap > float64(opt.Staleness) {
-			if t.primaryClock[x] > sh.baseClock[row] {
-				t.syncSecondary(w, sh, x, row, owner)
-				synced++
-			}
-			copy(dst.Row(int(oi)), sh.vals.Row(int(row)))
+		if gap > bound {
+			synced += t.interSync(w, sh, x, row, dst.Row(i))
 		}
 		if t.check != nil {
-			t.checkInterBound(w, sh, x, row, (prefixMax-ratio(x))*t.freq[x], opt.Staleness)
+			r = float64(t.replicaClock(sh, x, row)) / p
+			t.checkInterBound(w, sh, x, row, (prefixMax-r)*p, opt.Staleness)
 		}
 	}
 	return synced
+}
+
+// replicaClock is the clock Read position (x, row) carries into the
+// inter-embedding check: the secondary's clock (ReplicaClock) when Read
+// served one, the primary's when row is -1.
+func (t *Table) replicaClock(sh *shard, x, row int32) int64 {
+	if row < 0 {
+		return t.primaryClock[x]
+	}
+	return sh.baseClock[row] + int64(sh.pendCnt[row])
+}
+
+// interSync acts on one inter-embedding violation: the secondary is
+// refreshed if its primary has advanced at all, and the read's output row
+// is re-served from it. It returns the number of refreshes (0 or 1).
+func (t *Table) interSync(w int, sh *shard, x, row int32, out []float32) int {
+	n := 0
+	if t.primaryClock[x] > sh.baseClock[row] {
+		t.syncSecondary(w, sh, x, row, t.assign.PrimaryOf[x])
+		n = 1
+	}
+	copy(out, sh.vals.Row(int(row)))
+	return n
 }
 
 // checkInterBound enforces the post-condition of one inter-embedding

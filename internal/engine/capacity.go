@@ -33,8 +33,9 @@ func (t *Trainer) Footprint() obs.Footprint {
 			prep += int64(cap(p.uniq))*4 + int64(cap(p.batchIdx))*4 + int64(cap(p.labels))*4
 		}
 		gather += bufBytes(w.embBuf) + bufBytes(w.gradBuf) + bufBytes(w.input) +
-			int64(len(w.dLogit))*4 + int64(len(w.iterHostBytes))*8
+			int64(len(w.dLogit))*4 + int64(len(w.iterHostBytes))*8 + int64(len(w.hostVecs))*8
 	}
+	gather += int64(len(t.nicOut)+len(t.nicIn)) * 8
 	var dense int64
 	for _, g := range t.denseGrad {
 		dense += int64(len(g)) * 4

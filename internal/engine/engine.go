@@ -390,6 +390,9 @@ type Trainer struct {
 
 	// psHome[x] is the PS host machine of feature x (PS mode only).
 	psHome []int8
+	// nicOut/nicIn are nicQueueDelay's per-node byte totals, zeroed on every
+	// use (multi-node topologies only).
+	nicOut, nicIn []int64
 
 	// Evaluation buffers (lazily built).
 	evalState  nn.State
@@ -447,6 +450,10 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		}
 		tr.SetRecvTimeout(cfg.Dist.RecvTimeout)
 		t.dist = &distState{coord: comm.NewCoordinator(tr), rank: tr.Rank()}
+	}
+	if cfg.Topo.Nodes > 1 {
+		t.nicOut = make([]int64, cfg.Topo.Nodes)
+		t.nicIn = make([]int64, cfg.Topo.Nodes)
 	}
 	if cfg.PS != nil {
 		t.psHome = make([]int8, cfg.Train.NumFeatures)
@@ -898,8 +905,9 @@ func (t *Trainer) nicQueueDelay() float64 {
 	if topo.Nodes <= 1 {
 		return 0
 	}
-	nodeOut := make([]int64, topo.Nodes)
-	nodeIn := make([]int64, topo.Nodes)
+	nodeOut, nodeIn := t.nicOut, t.nicIn
+	clear(nodeOut)
+	clear(nodeIn)
 	for wi, w := range t.workers {
 		n := topo.NodeOf(wi)
 		nodeOut[n] += w.iterNICOut

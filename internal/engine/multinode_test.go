@@ -139,3 +139,29 @@ func TestHierarchicalPartitionReducesNICPressure(t *testing.T) {
 		t.Errorf("hierarchical time %v not below random %v", hier, random)
 	}
 }
+
+// TestQueueDelayScratchAllocationFree pins that the per-iteration traffic
+// tallies — nicQueueDelay's per-node totals and psRead's per-host counts —
+// live in Trainer/worker scratch: the barrier and the PS gather allocate
+// nothing. Not parallel: AllocsPerRun refuses to run beside other tests.
+func TestQueueDelayScratchAllocationFree(t *testing.T) {
+	f := newFixture(t)
+	topo := cluster.ClusterB(2)
+	tr, err := NewTrainer(f.config(t, func(c *Config) {
+		c.Topo = topo
+		c.Assign = partition.Random(f.g, topo.NumWorkers(), 5)
+		c.PS = &PSConfig{Hosts: topo.Nodes}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.workers[0]
+	w.startEpoch()
+	w.runIteration() // leaves a prepared batch in w.uniq / w.embBuf
+	if allocs := testing.AllocsPerRun(10, func() { tr.nicQueueDelay() }); allocs != 0 {
+		t.Errorf("nicQueueDelay allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { w.psRead(w.iterSamples) }); allocs != 0 {
+		t.Errorf("psRead allocates %v times per call, want 0", allocs)
+	}
+}

@@ -67,6 +67,9 @@ type worker struct {
 	// with host h (PS mode only); the engine turns the per-host totals
 	// into queueing delay at the shared host link.
 	iterHostBytes []int64
+	// hostVecs is psRead/psUpdate's scratch: the vectors one call moves to
+	// or from each PS host, zeroed on every use (PS mode only).
+	hostVecs []int
 	// iterNICOut/iterNICIn count this iteration's cross-node bytes leaving
 	// and entering this worker. All GPUs of a machine share one NIC, so
 	// the engine aggregates these per node into a queueing delay — the
@@ -142,6 +145,7 @@ func newWorker(id int, t *Trainer, samples []int32, rng *xrand.RNG) *worker {
 	}
 	if cfg.PS != nil {
 		w.iterHostBytes = make([]int64, cfg.PS.Hosts)
+		w.hostVecs = make([]int, cfg.PS.Hosts)
 	}
 	w.order = make([]int32, len(samples))
 	copy(w.order, samples)
@@ -329,9 +333,9 @@ const (
 // fetched from its host shard over the CPU link. Values still come from
 // the table's primaries so learning remains real.
 func (w *worker) psRead(bs int) float64 {
-	cfg := &w.t.cfg
 	var dt float64
-	perHost := make([]int, cfg.PS.Hosts)
+	perHost := w.hostVecs
+	clear(perHost)
 	for i, x := range w.uniq {
 		copy(w.embBuf.Row(i), w.t.table.PrimaryRow(x))
 		perHost[w.t.psHome[x]]++
@@ -354,7 +358,8 @@ func (w *worker) psRead(bs int) float64 {
 func (w *worker) psUpdate(gb *tensor.Matrix) float64 {
 	cfg := &w.t.cfg
 	var dt float64
-	perHost := make([]int, cfg.PS.Hosts)
+	perHost := w.hostVecs
+	clear(perHost)
 	for i, x := range w.uniq {
 		perHost[w.t.psHome[x]]++
 		w.t.table.QueuePrimary(w.id, x, gb.Row(i))
