@@ -159,7 +159,7 @@ func TestTieredFootprintAccountsAllStructures(t *testing.T) {
 // reflection: every field that is not one of the replica / queue structures
 // the tree reports under their own leaves must be a scratch slice, and the
 // "scratch" leaf must be exactly their capacities plus the table-level
-// rank/frequency entries. A scratch slice added to shard without a line in
+// rank/frequency entries and norm-tracking buffers. A scratch slice added to shard without a line in
 // Footprint fails here.
 func TestFootprintCountsEveryShardScratchSlice(t *testing.T) {
 	tbl, sets := readBenchFixture(t, 4000, 500, 4)
@@ -171,7 +171,10 @@ func TestFootprintCountsEveryShardScratchSlice(t *testing.T) {
 		"index": true, "feats": true, "vals": true, "pending": true, "pendCnt": true, "baseClock": true, // replicas.*
 		"queues": true, "arena": true, "fuseGen": true, "fuseSlot": true, "gen": true, // queues.*
 	}
-	want := int64(len(tbl.freqRank)) * int64(unsafe.Sizeof(freqRank{}))
+	want := int64(len(tbl.freqRank))*int64(unsafe.Sizeof(freqRank{})) + int64(len(tbl.stepNormShard))*8
+	for _, row := range tbl.normScratch { // empty unless norm tracking is on
+		want += int64(len(row)) * 4
+	}
 	for _, sh := range tbl.shards {
 		v := reflect.ValueOf(sh).Elem()
 		for i := 0; i < v.NumField(); i++ {
@@ -194,7 +197,7 @@ func TestFootprintCountsEveryShardScratchSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n, ok := fp.Find("table.scratch"); !ok || n.Bytes != want {
-		t.Fatalf("scratch leaf is %d bytes, the shards' scratch slices and the rank table hold %d", n.Bytes, want)
+		t.Fatalf("scratch leaf is %d bytes, the shards' scratch slices and the table-level buffers hold %d", n.Bytes, want)
 	}
 }
 

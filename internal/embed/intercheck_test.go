@@ -229,6 +229,8 @@ func newInterFixture(seed uint64, freqMode string) interFixture {
 		switch freqMode {
 		case "zipf": // 40 distinct values over hundreds of features: many ties
 			f.freq[x] = int32(1 + 1000/(1+zipf.Sample(r)))
+		case "wide": // values across all three radix digits of an int32
+			f.freq[x] = int32(math.MaxInt32 >> (8 * uint(r.Intn(4))))
 		case "equal":
 			f.freq[x] = 7
 		case "clamped": // -1, 0 and 1 all mean 1; 2 and 3 do not
@@ -286,7 +288,7 @@ func sameShards(t *testing.T, where string, got, want *Table) {
 // clocks and values, the queued updates in order, and the invariant
 // checker's counts (the checker re-evaluates every decision through rowOf).
 func TestInterCheckMatchesSortOracle(t *testing.T) {
-	for _, freqMode := range []string{"zipf", "equal", "clamped", "none"} {
+	for _, freqMode := range []string{"zipf", "wide", "equal", "clamped", "none"} {
 		for _, s := range []int64{0, 1, 100} {
 			for _, normalize := range []bool{true, false} {
 				for _, checked := range []bool{false, true} {
@@ -342,11 +344,11 @@ func driveAgainstOracle(t *testing.T, f interFixture, seed uint64, s int64, norm
 	grads := tensor.NewMatrix(f.features, f.dim)
 	for round := 0; round < 12; round++ {
 		for w := 0; w < f.workers; w++ {
-			// Read sets straddle the radix threshold: a few features up to
-			// most of the table, already deduplicated, in random order.
+			// Read sets run from a few features up to most of the table,
+			// already deduplicated, in random order.
 			m := 1 + r.Intn(8)
 			if r.Intn(3) > 0 {
-				m = radixMinKeys/2 + r.Intn(f.features-radixMinKeys/2)
+				m = 32 + r.Intn(f.features-32)
 			}
 			feats := r.Perm32(f.features)[:m]
 			where := fmt.Sprintf("seed %d round %d worker %d (m=%d)", seed, round, w, m)
@@ -389,12 +391,12 @@ func driveAgainstOracle(t *testing.T, f interFixture, seed uint64, s int64, norm
 	}
 }
 
-// TestSortRankKeys pins the radix helper against slices.Sort on both sides
-// of its size threshold and of its digit boundaries, with duplicate ranks so
-// that a pass that is not stable shows.
+// TestSortRankKeys pins the radix helper against slices.Sort from empty to
+// large inputs and on both sides of its digit boundaries, with duplicate
+// ranks so that a pass that is not stable shows.
 func TestSortRankKeys(t *testing.T) {
 	r := xrand.New(17)
-	for _, n := range []int{0, 1, radixMinKeys - 1, radixMinKeys, radixMinKeys + 1, 5000} {
+	for _, n := range []int{0, 1, 63, 64, 65, 5000} {
 		for _, maxRank := range []uint32{1, 1<<radixBits - 1, 1 << radixBits, 1<<radixBits + 1, 1 << (2 * radixBits)} {
 			keys := make([]uint64, n)
 			for i := range keys {

@@ -1,7 +1,5 @@
 package embed
 
-import "slices"
-
 // freqRank is what the normalised inter-embedding check needs to know about
 // one feature, packed so a visit costs one cache line: its access frequency
 // (Config.Freq clamped to ≥ 1) and its rank — its position among all
@@ -11,10 +9,9 @@ type freqRank struct {
 	freq int32
 }
 
-// buildFreqRanks ranks every feature with one counting sort over the
-// integer frequencies: O(F + max frequency) time and a transient
-// max-frequency-sized count array, which for bigraph degrees is bounded by
-// the sample count.
+// buildFreqRanks ranks every feature by sorting (max frequency − frequency,
+// feature id) keys with sortRankKeys: counting passes only, and transient
+// memory of 16 bytes per feature whatever the frequencies are.
 func buildFreqRanks(freq []int32) []freqRank {
 	out := make([]freqRank, len(freq))
 	maxFreq := int32(1)
@@ -27,32 +24,19 @@ func buildFreqRanks(freq []int32) []freqRank {
 			maxFreq = f
 		}
 	}
-	// next[f] is the rank the next feature of frequency f takes: buckets
-	// laid out most frequent first, filled in ascending feature id.
-	next := make([]int32, int(maxFreq)+1)
-	for _, e := range out {
-		next[e.freq]++
+	keys := make([]uint64, len(out))
+	for x, e := range out {
+		keys[x] = uint64(maxFreq-e.freq)<<32 | uint64(x)
 	}
-	var start int32
-	for f := maxFreq; f >= 1; f-- {
-		start, next[f] = start+next[f], start
-	}
-	for x := range out {
-		f := out[x].freq
-		out[x].rank = next[f]
-		next[f]++
+	for rank, k := range sortRankKeys(keys, make([]uint64, len(keys)), uint32(maxFreq-1)) {
+		out[uint32(k)].rank = int32(rank)
 	}
 	return out
 }
 
-const (
-	// radixBits is the digit width of sortRankKeys: 2048 counters stay in
-	// L1 and any table below 4M features sorts in two passes.
-	radixBits = 11
-	// radixMinKeys is the read-set size below which filling and scanning
-	// the counters costs more than a comparison sort.
-	radixMinKeys = 64
-)
+// radixBits is the digit width of sortRankKeys: 2048 counters stay in L1
+// and any table below 4M features sorts in two passes.
+const radixBits = 11
 
 // sortRankKeys sorts keys of the form rank<<32 | position ascending and
 // returns the slice holding the result, keys or tmp (equal lengths; both
@@ -60,10 +44,6 @@ const (
 // passes look only at the rank bits, up to maxRank's highest, and rely on
 // their stability to keep equal ranks in position order.
 func sortRankKeys(keys, tmp []uint64, maxRank uint32) []uint64 {
-	if len(keys) < radixMinKeys {
-		slices.Sort(keys)
-		return keys
-	}
 	tmp = tmp[:len(keys)]
 	var next [1 << radixBits]uint32
 	for shift := 32; maxRank>>(shift-32) != 0; shift += radixBits {
