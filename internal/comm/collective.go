@@ -1,8 +1,8 @@
 // Coordinator: the collective layer the distributed engine drives a
 // Transport through. Every synchronisation point in distributed training —
-// iteration summaries, gradient pushes, dense allreduce segments, epoch
-// flushes, barriers — is one Exchange: an all-gather where each rank
-// contributes one payload and receives every rank's.
+// the per-iteration frame, epoch flushes, barriers — is one Exchange: an
+// all-gather where each rank contributes one payload and receives every
+// rank's.
 package comm
 
 import "fmt"
@@ -30,8 +30,11 @@ func (c *Coordinator) Transport() Transport { return c.tr }
 // or a hang.
 //
 // Deadlock freedom: every rank sends all its messages before receiving any,
-// and transports buffer without bounds, so the round never requires a
-// receiver to drain before a sender completes.
+// and every endpoint accepts incoming messages into an unbounded inbox
+// whether or not its application is receiving (the Transport contract), so
+// a Send that blocks on full link buffers waits only for the peer endpoint
+// to drain them — the round never requires a peer to reach Recv before a
+// sender completes.
 func (c *Coordinator) Exchange(mt MsgType, payload []byte) ([][]byte, error) {
 	c.seq++
 	n, rank := c.tr.Size(), c.tr.Rank()

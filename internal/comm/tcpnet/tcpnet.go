@@ -3,14 +3,17 @@
 // is one rank; rank i accepts connections from every lower rank and dials
 // every higher rank, so exactly one connection exists per unordered pair.
 //
-// Concurrency model: Send never writes to the socket inline — it enqueues
-// on an unbounded per-connection outbox drained by a dedicated writer
-// goroutine. That preserves the deadlock-freedom the collective layer
-// relies on (every rank can send all its round's messages before any rank
-// receives) even when kernel socket buffers are full. A reader goroutine
-// per connection decodes frames into the per-peer inbox, so Recv is a
-// queue pop with the same timeout/fault semantics as the in-memory
-// reference backend.
+// Concurrency model: Send frames the message and writes it to the socket on
+// the calling goroutine, under the link's write mutex — a Send that returned
+// has handed its bytes to the kernel, and no goroutine hand-off sits between
+// the application and the wire. A reader goroutine per connection decodes
+// frames into the unbounded per-peer inbox whether or not the application
+// is receiving, so Recv is a queue pop with the same timeout/fault
+// semantics as the in-memory reference backend. That unconditional drain is
+// what the collective layer's deadlock freedom (every rank sends all its
+// round's messages before any rank receives) rests on: a Send blocked on
+// full kernel buffers waits for the peer's reader goroutine, never for the
+// peer application, so it always makes progress against a live peer.
 package tcpnet
 
 import (
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -57,10 +61,11 @@ type Transport struct {
 	stats comm.Ledger
 	met   *netMetrics // nil when observability is off
 
-	conns  []*conn // index by peer rank; nil at own rank
-	inbox  []*comm.MessageQueue
-	lis    net.Listener
-	closed atomic.Bool
+	conns   []*conn // index by peer rank; nil at own rank
+	inbox   []*comm.MessageQueue
+	lis     net.Listener
+	closed  atomic.Bool
+	readers sync.WaitGroup // the readLoop goroutines; Close waits for them
 
 	mu      sync.Mutex
 	timeout time.Duration
@@ -68,8 +73,9 @@ type Transport struct {
 
 // netMetrics are the backend's wall-clock instruments. All methods are
 // nil-receiver safe so the data path stays branch-plus-return when
-// observability is off; stripes are keyed by peer rank (one writer
-// goroutine per peer link).
+// observability is off; stripes are keyed by peer rank, and each has one
+// writer at a time: decode is observed by the link's reader goroutine,
+// encode and flush by whoever holds its write mutex.
 type netMetrics struct {
 	encode  *obs.Histogram // frame encode (AppendFrame) wall nanoseconds
 	flush   *obs.Histogram // socket write wall nanoseconds
@@ -97,10 +103,16 @@ func newNetMetrics(reg *obs.Registry) *netMetrics {
 
 // conn is one established link to a peer.
 type conn struct {
-	peer   int
-	sock   net.Conn
-	outbox *comm.MessageQueue
-	done   chan struct{} // closed when the writer goroutine exits
+	peer int
+	sock net.Conn
+	// down is set once the link has failed in either direction; later
+	// Sends fail fast instead of writing into a dead socket.
+	down atomic.Bool
+
+	// wmu serialises writers: a frame goes out whole, and frames of one
+	// sender go out in its Send order. Close never takes it.
+	wmu   sync.Mutex
+	frame []byte // reusable encode buffer
 }
 
 const defaultDialTimeout = 30 * time.Second
@@ -237,12 +249,7 @@ func Connect(cfg Config) (*Transport, error) {
 		if tc, ok := d.sock.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		t.conns[d.peer] = &conn{
-			peer:   d.peer,
-			sock:   d.sock,
-			outbox: &comm.MessageQueue{},
-			done:   make(chan struct{}),
-		}
+		t.conns[d.peer] = &conn{peer: d.peer, sock: d.sock}
 	}
 	if firstErr != nil {
 		t.Close()
@@ -252,8 +259,11 @@ func Connect(cfg Config) (*Transport, error) {
 		if c == nil {
 			continue
 		}
-		go t.writeLoop(c)
-		go t.readLoop(c)
+		t.readers.Add(1)
+		go func(c *conn) {
+			defer t.readers.Done()
+			t.readLoop(c)
+		}(c)
 	}
 	comm.ObserveTransport(cfg.Obs, t)
 	return t, nil
@@ -289,49 +299,17 @@ func readHello(sock net.Conn, size int) (int, error) {
 	return from, nil
 }
 
-// writeLoop drains the outbox onto the socket. On write failure it tears
-// the link down so the peer's fault surfaces on Recv as well.
-func (t *Transport) writeLoop(c *conn) {
-	defer close(c.done)
-	met := t.met
-	var buf []byte
-	var clock time.Time
-	for {
-		m, err := c.outbox.Pop(0)
-		if err != nil {
-			return
-		}
-		if met != nil {
-			clock = time.Now()
-		}
-		buf, err = comm.AppendFrame(buf[:0], t.rank, m)
-		if err != nil {
-			// Send already validated type and size; an encode failure
-			// here means the message was mutated after Send.
-			t.failConn(c, fmt.Errorf("tcpnet: encode for rank %d: %w", c.peer, err))
-			return
-		}
-		if met != nil {
-			now := time.Now()
-			met.encode.Observe(c.peer, now.Sub(clock).Nanoseconds())
-			clock = now
-		}
-		if _, err := c.sock.Write(buf); err != nil {
-			t.failConn(c, err)
-			return
-		}
-		if met != nil {
-			met.flush.Observe(c.peer, time.Since(clock).Nanoseconds())
-		}
-	}
-}
-
 // peerFault normalises the stream errors a vanished peer produces — clean
 // FIN (EOF) and abortive close (RST / broken pipe) — to the typed
-// ErrPeerClosed; anything else (a torn frame, a codec violation) is kept.
+// ErrPeerClosed, and an expired write deadline (a peer that stopped
+// reading) to ErrTimeout; anything else (a torn frame, a codec violation)
+// is kept.
 func peerFault(err error) error {
 	if err == io.EOF || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return comm.ErrPeerClosed
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return comm.ErrTimeout
 	}
 	return err
 }
@@ -363,7 +341,7 @@ func (t *Transport) readLoop(c *conn) {
 				}
 				t.inbox[c.peer].CloseWith(&comm.PeerError{Peer: c.peer, Op: "recv from", Err: fault})
 			}
-			c.outbox.CloseWith(comm.ErrPeerClosed)
+			c.down.Store(true)
 			return
 		}
 		if met != nil {
@@ -374,7 +352,7 @@ func (t *Transport) readLoop(c *conn) {
 				Peer: c.peer, Op: "recv from",
 				Err: fmt.Errorf("frame claims sender %d on link to %d", from, c.peer),
 			})
-			c.outbox.CloseWith(comm.ErrPeerClosed)
+			c.down.Store(true)
 			return
 		}
 		m := &shell
@@ -383,14 +361,21 @@ func (t *Transport) readLoop(c *conn) {
 	}
 }
 
-// failConn tears down one link after a local write error.
-func (t *Transport) failConn(c *conn, err error) {
-	err = peerFault(err)
-	c.sock.Close()
-	c.outbox.CloseWith(&comm.PeerError{Peer: c.peer, Op: "send to", Err: err})
-	if !t.closed.Load() {
-		t.inbox[c.peer].CloseWith(&comm.PeerError{Peer: c.peer, Op: "send to", Err: err})
+// failConn tears down one link after a local write error — a partial write
+// leaves the stream torn, so the link cannot carry another frame — and
+// seals its inbox so the fault surfaces on Recv as well. It returns the
+// typed error Send reports.
+func (t *Transport) failConn(c *conn, err error) error {
+	c.down.Store(true)
+	if t.closed.Load() {
+		return comm.ErrClosed // Close raced the write and owns the teardown
 	}
+	pe := &comm.PeerError{Peer: c.peer, Op: "send to", Err: peerFault(err)}
+	// Seal before closing the socket: the close wakes readLoop, whose own
+	// seal would otherwise race this one with a less specific error.
+	t.inbox[c.peer].CloseWith(pe)
+	c.sock.Close()
+	return pe
 }
 
 // Rank implements comm.Transport.
@@ -418,9 +403,14 @@ func (t *Transport) Stats() comm.Stats { return t.stats.Snapshot() }
 // LinkStats implements comm.Transport.
 func (t *Transport) LinkStats() []comm.LinkStats { return t.stats.LinkSnapshot() }
 
-// Send implements comm.Transport: validate, account, enqueue. The writer
-// goroutine owns the socket, so Send is safe for concurrent use and never
-// blocks on a full kernel buffer.
+// Send implements comm.Transport: validate, frame and write on the calling
+// goroutine, account. It is safe for concurrent use (writers to one link
+// take turns under its write mutex) and may block while the kernel's socket
+// buffers are full — until the peer's reader goroutine drains them, never
+// on the peer application. With a receive timeout configured the write is
+// bounded by it too, so a peer that stopped reading yields a *comm.PeerError
+// over ErrTimeout instead of a hang. When Send returns nil the frame is in
+// the kernel: a Close right after does not lose it.
 func (t *Transport) Send(to int, m *Message) error {
 	if t.closed.Load() {
 		return comm.ErrClosed
@@ -438,10 +428,51 @@ func (t *Transport) Send(to int, m *Message) error {
 		return fmt.Errorf("%w: %d bytes", comm.ErrFrameTooLarge, len(m.Payload))
 	}
 	c := t.conns[to]
-	if c == nil || !c.outbox.Push(m) {
+	if c == nil || c.down.Load() {
 		return &comm.PeerError{Peer: to, Op: "send to", Err: comm.ErrPeerClosed}
 	}
+	if err := t.writeFrame(c, m); err != nil {
+		return err
+	}
 	t.stats.RecordSendTo(to, m.Type, comm.FrameSize(len(m.Payload)))
+	return nil
+}
+
+// writeFrame encodes m into the link's frame buffer and writes it out, all
+// under the link's write mutex.
+func (t *Transport) writeFrame(c *conn, m *Message) error {
+	met := t.met
+	timeout := t.recvTimeout()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var clock time.Time
+	if met != nil {
+		clock = time.Now()
+	}
+	var err error
+	c.frame, err = comm.AppendFrame(c.frame[:0], t.rank, m)
+	if err != nil {
+		// Send already validated type and size; only a rank the header
+		// cannot hold gets here. Nothing was written, the link stays up.
+		return fmt.Errorf("tcpnet: encode for rank %d: %w", c.peer, err)
+	}
+	if met != nil {
+		now := time.Now()
+		met.encode.Observe(c.peer, now.Sub(clock).Nanoseconds())
+		clock = now
+	}
+	var deadline time.Time // zero: no bound
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	// SetWriteDeadline fails only on a closed socket, which Write reports.
+	c.sock.SetWriteDeadline(deadline)
+	if _, err := c.sock.Write(c.frame); err != nil {
+		return t.failConn(c, err)
+	}
+	if met != nil {
+		met.flush.Observe(c.peer, time.Since(clock).Nanoseconds())
+	}
 	return nil
 }
 
@@ -461,7 +492,11 @@ func (t *Transport) Recv(from int) (*comm.Message, error) {
 }
 
 // Close implements comm.Transport: sockets close (peers see ErrPeerClosed
-// via EOF), local pending receives unblock with ErrClosed.
+// via EOF), local pending receives unblock with ErrClosed, and the reader
+// goroutines have exited when it returns. There is nothing to flush — every
+// Send that returned has its bytes in the kernel already — and the sockets
+// are closed without taking the write mutex, which is what releases a Send
+// still blocked in Write.
 func (t *Transport) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -470,15 +505,13 @@ func (t *Transport) Close() error {
 		t.lis.Close()
 	}
 	for _, c := range t.conns {
-		if c == nil {
-			continue
+		if c != nil {
+			c.sock.Close()
 		}
-		c.outbox.CloseWith(comm.ErrClosed)
-		<-c.done // let queued frames flush before closing the socket
-		c.sock.Close()
 	}
 	for _, q := range t.inbox {
 		q.CloseWith(comm.ErrClosed)
 	}
+	t.readers.Wait()
 	return nil
 }

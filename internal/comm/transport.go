@@ -11,6 +11,11 @@
 //
 //   - Per-link FIFO: messages from rank a to rank b arrive in send order.
 //   - Concurrent senders: Send may be called from multiple goroutines.
+//   - Receive-side buffering without bounds: an endpoint accepts whatever
+//     its peers send whether or not its application is in Recv. Send may
+//     block while the kernel buffers are full; it never waits for the peer
+//     *application*. That is what lets a collective round have every rank
+//     send before any rank receives without deadlocking.
 //   - Byte ledger: Stats reports per-type message and frame-byte totals
 //     using the shared wire format's framing, so two backends carrying the
 //     same message sequence report identical ledgers.
@@ -33,13 +38,19 @@ type MsgType uint8
 const (
 	// MsgControl is handshakes, barriers and shutdown coordination.
 	MsgControl MsgType = iota
-	// MsgClockSync carries clock vectors and per-iteration summaries.
+	// MsgClockSync carries clock vectors and per-iteration summaries. The
+	// engine does not emit it — its summary travels inside the iteration
+	// frame (MsgGradPush) — but the type is part of the wire format.
 	MsgClockSync
-	// MsgGradPush carries queued primary gradient updates.
+	// MsgGradPush carries queued primary gradient updates — the engine's
+	// per-iteration frame (engine/dist.go): iteration summary, queued
+	// updates and dense gradient in one message, most of it queued updates.
 	MsgGradPush
 	// MsgEmbedPull carries embedding-state reconciliation (epoch flushes).
 	MsgEmbedPull
-	// MsgAllReduce carries dense-gradient segments.
+	// MsgAllReduce carries dense-gradient segments. The engine does not
+	// emit it (its gradient rides in the iteration frame); the benchmark's
+	// comm probe and the conformance suite do.
 	MsgAllReduce
 	// NumMsgTypes bounds the type space; frames with a type at or past it
 	// are rejected by the decoder.
@@ -81,8 +92,11 @@ type Transport interface {
 	Rank() int
 	// Size is the number of ranks in the mesh.
 	Size() int
-	// Send enqueues m for delivery to rank `to`. It must be safe for
-	// concurrent use and must not block indefinitely on a slow receiver.
+	// Send hands m over for delivery to rank `to`. It must be safe for
+	// concurrent use. It may block while the link's buffers are full, but
+	// only until the peer endpoint drains them — never on the peer
+	// application calling Recv — and a backend with a receive timeout
+	// configured bounds that wait by it and reports a typed error.
 	Send(to int, m *Message) error
 	// Recv blocks for the next message from rank `from`, honouring the
 	// configured receive timeout. Messages from one peer arrive in send
@@ -270,10 +284,9 @@ func (e *ProtocolError) Error() string {
 }
 
 // MessageQueue is an unbounded FIFO of messages with timed, multi-consumer
-// pops and a terminal error. Both backends use it as the per-peer inbox
-// (and tcpnet as the per-connection outbox): unboundedness is what lets a
-// collective round have every rank send before any rank receives without
-// deadlocking.
+// pops and a terminal error. Both backends use it as the per-peer inbox:
+// unboundedness is what lets a collective round have every rank send before
+// any rank receives without deadlocking.
 type MessageQueue struct {
 	mu     sync.Mutex
 	items  []*Message

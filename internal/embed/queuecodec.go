@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 const (
@@ -31,33 +32,41 @@ const (
 // ErrBadQueueBlob reports a queued-update blob that failed validation.
 var ErrBadQueueBlob = errors.New("embed: malformed queued-update blob")
 
-// EncodeQueued serialises worker w's queued primary updates (all owner
-// buckets, in owner order, entries in queue position order). The shard's
-// queues are left untouched; Commit drains them as usual.
-func (t *Table) EncodeQueued(w int) []byte {
-	sh := t.shards[w]
+// QueuedSize is the exact number of bytes AppendQueued(buf, w) appends, so
+// a caller can size a buffer that carries the blob among other sections.
+func (t *Table) QueuedSize(w int) int {
 	size := 16
-	for _, q := range sh.queues {
+	for _, q := range t.shards[w].queues {
 		size += 4 + len(q)*(8+t.dim*4)
 	}
-	buf := make([]byte, 0, size)
-	var u32 [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		buf = append(buf, u32[:]...)
-	}
-	put(queueMagic)
-	put(queueVersion)
-	put(uint32(t.dim))
-	put(uint32(t.n))
+	return size
+}
+
+// AppendQueued appends the serialisation of worker w's queued primary
+// updates (all owner buckets, in owner order, entries in queue position
+// order) to buf and returns the extended slice. The shard's queues are left
+// untouched; Commit drains them as usual.
+func (t *Table) AppendQueued(buf []byte, w int) []byte {
+	sh := t.shards[w]
+	off, size := len(buf), t.QueuedSize(w)
+	buf = slices.Grow(buf, size)[:off+size]
+	le := binary.LittleEndian
+	le.PutUint32(buf[off:], queueMagic)
+	le.PutUint32(buf[off+4:], queueVersion)
+	le.PutUint32(buf[off+8:], uint32(t.dim))
+	le.PutUint32(buf[off+12:], uint32(t.n))
+	off += 16
 	for o := 0; o < t.n; o++ {
 		q := sh.queues[o]
-		put(uint32(len(q)))
+		le.PutUint32(buf[off:], uint32(len(q)))
+		off += 4
 		for _, u := range q {
-			put(uint32(u.x))
-			put(uint32(u.count))
+			le.PutUint32(buf[off:], uint32(u.x))
+			le.PutUint32(buf[off+4:], uint32(u.count))
+			off += 8
 			for _, v := range u.delta {
-				put(math.Float32bits(v))
+				le.PutUint32(buf[off:], math.Float32bits(v))
+				off += 4
 			}
 		}
 	}
@@ -73,23 +82,20 @@ func (t *Table) InjectQueued(w int, data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("%w: %d header bytes", ErrBadQueueBlob, len(data))
 	}
-	get := func() uint32 {
-		v := binary.LittleEndian.Uint32(data[:4])
-		data = data[4:]
-		return v
-	}
-	if m := get(); m != queueMagic {
+	le := binary.LittleEndian
+	if m := le.Uint32(data); m != queueMagic {
 		return fmt.Errorf("%w: magic %#x", ErrBadQueueBlob, m)
 	}
-	if v := get(); v != queueVersion {
+	if v := le.Uint32(data[4:]); v != queueVersion {
 		return fmt.Errorf("%w: version %d", ErrBadQueueBlob, v)
 	}
-	if d := get(); int(d) != t.dim {
+	if d := le.Uint32(data[8:]); int(d) != t.dim {
 		return fmt.Errorf("%w: dim %d, table has %d", ErrBadQueueBlob, d, t.dim)
 	}
-	if o := get(); int(o) != t.n {
+	if o := le.Uint32(data[12:]); int(o) != t.n {
 		return fmt.Errorf("%w: %d owners, table has %d", ErrBadQueueBlob, o, t.n)
 	}
+	data = data[16:]
 	sh := t.shards[w]
 	rows := int32(t.cfg.NumFeatures)
 	entrySize := 8 + t.dim*4
@@ -98,21 +104,24 @@ func (t *Table) InjectQueued(w int, data []byte) error {
 		if len(data) < 4 {
 			return fmt.Errorf("%w: truncated at owner %d", ErrBadQueueBlob, o)
 		}
-		cnt := int(get())
+		cnt := int(le.Uint32(data))
+		data = data[4:]
 		if cnt < 0 || len(data) < cnt*entrySize {
 			return fmt.Errorf("%w: owner %d claims %d entries with %d bytes left", ErrBadQueueBlob, o, cnt, len(data))
 		}
 		for i := 0; i < cnt; i++ {
-			x := int32(get())
-			count := int32(get())
+			entry := data[:entrySize]
+			data = data[entrySize:]
+			x := int32(le.Uint32(entry))
+			count := int32(le.Uint32(entry[4:]))
 			if x < 0 || x >= rows || count <= 0 {
 				return fmt.Errorf("%w: owner %d entry %d: feature %d count %d", ErrBadQueueBlob, o, i, x, count)
 			}
 			if got := t.assign.PrimaryOf[x]; got != o {
 				return fmt.Errorf("%w: feature %d owned by %d, filed under %d", ErrBadQueueBlob, x, got, o)
 			}
-			for j := 0; j < t.dim; j++ {
-				grad[j] = math.Float32frombits(get())
+			for j := range grad {
+				grad[j] = math.Float32frombits(le.Uint32(entry[8+4*j:]))
 			}
 			t.queueUpdate(sh, o, x, count, grad)
 		}

@@ -8,19 +8,27 @@
 // The design is deterministic state replication. Every rank constructs the
 // identical Trainer (dataset, partition, table, model and every RNG are
 // seed-derived), but per iteration it *computes* only its own rank's
-// worker. The concurrent phase's effects on shared state are then
-// exchanged and replayed so each rank applies the identical commit:
+// worker. The concurrent phase's effects on shared state then travel in ONE
+// iteration frame per peer per iteration (a MsgGradPush exchange) and are
+// replayed so each rank applies the identical commit. The frame's payload,
+// little-endian:
 //
-//	MsgClockSync  — the worker's iteration summary: sample count, loss,
-//	                compute/comm times, protocol counters and the
-//	                per-owner traffic of its Read and Update calls.
-//	MsgGradPush   — the worker's queued primary updates (embed queue
-//	                codec), injected into the sender's ghost shard so
-//	                Commit drains the same (worker, position) sequence.
-//	MsgAllReduce  — the worker's dense gradient; the reduction itself is
-//	                replicated locally in fixed worker order.
-//	MsgEmbedPull  — at epoch boundaries, the flush traffic + flushed
-//	                pending updates (distFlush).
+//	u32 summaryLen | u32 queuedLen | summary | queued | dense
+//
+//	summary — the worker's iteration summary: sample count, loss,
+//	          compute/comm times, protocol counters and the per-owner
+//	          traffic of its Read and Update calls (summarySize(n) bytes).
+//	queued  — the worker's queued primary updates (embed queue codec),
+//	          injected into the sender's ghost shard so Commit drains the
+//	          same (worker, position) sequence.
+//	dense   — the worker's dense gradient (4·ParamCount bytes, or none for
+//	          an idle iteration); the reduction itself is replicated
+//	          locally in fixed worker order.
+//
+// At epoch boundaries one MsgEmbedPull exchange carries the flush traffic +
+// flushed pending updates (distFlush). A received frame is untrusted input:
+// splitIterationFrame checks every section length before anything is
+// sliced.
 //
 // Ghost traffic is replayed through the same chargeOwnerTraffic path the
 // owning rank ran, on the ghost worker's own fabric stripe, in its program
@@ -34,10 +42,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"hetgmp/internal/comm"
 	"hetgmp/internal/embed"
-	"time"
 )
 
 // DistConfig attaches a Trainer to a transport mesh for multi-rank
@@ -73,53 +82,110 @@ type distSummary struct {
 
 const distStatCount = 8
 
-// summarySize is the wire size of a summary for an n-worker job.
+// summaryFixed is the summary's fixed part: sample count, five float64
+// times and a reserved word, then the protocol counters.
+const summaryFixed = 4 + 6*8 + distStatCount*8
+
+// summarySize is the wire size of a summary for an n-worker job: the fixed
+// part plus the Read and the Update per-owner traffic.
 func summarySize(n int) int {
-	return 4 + 6*8 + distStatCount*8 + 2*n*12
+	return summaryFixed + 2*n*12
 }
 
-func appendU32(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(buf, b[:]...)
-}
+// iterFrameHeader is the iteration frame's section-length prefix.
+const iterFrameHeader = 8
 
-func appendU64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
+// extend grows buf by n bytes and returns the extended slice with the
+// offset the new bytes start at.
+func extend(buf []byte, n int) ([]byte, int) {
+	off := len(buf)
+	return slices.Grow(buf, n)[:off+n], off
 }
 
 func appendTraffic(buf []byte, per []embed.OwnerTraffic) []byte {
+	buf, off := extend(buf, 12*len(per))
 	for _, tr := range per {
-		buf = appendU32(buf, uint32(tr.SyncVecs))
-		buf = appendU32(buf, uint32(tr.FlushVecs))
-		buf = appendU32(buf, uint32(tr.MetaKeys))
+		binary.LittleEndian.PutUint32(buf[off:], uint32(tr.SyncVecs))
+		binary.LittleEndian.PutUint32(buf[off+4:], uint32(tr.FlushVecs))
+		binary.LittleEndian.PutUint32(buf[off+8:], uint32(tr.MetaKeys))
+		off += 12
 	}
 	return buf
 }
 
-// encodeSummary serialises this rank's worker state after its concurrent
-// phase. Idle workers ship an all-zero summary.
-func (t *Trainer) encodeSummary(w *worker) []byte {
-	buf := make([]byte, 0, summarySize(t.n))
-	buf = appendU32(buf, uint32(w.iterSamples))
-	buf = appendU64(buf, math.Float64bits(w.iterLoss))
-	buf = appendU64(buf, math.Float64bits(w.iterCompute))
-	buf = appendU64(buf, math.Float64bits(w.iterTime))
-	buf = appendU64(buf, math.Float64bits(w.iterReadComm))
-	buf = appendU64(buf, math.Float64bits(w.iterUpdateComm))
-	buf = appendU64(buf, 0) // reserved
-	for _, v := range []int64{
-		w.iterLocalPrimary, w.iterLocalFresh,
-		w.iterSyncedIntra, w.iterSyncedInter, w.iterRemoteReads,
-		w.iterLocalSecondary, w.iterRemotePush, w.iterFlushed,
+// appendSummary serialises w's state after its concurrent phase:
+// summarySize(n) bytes. Idle workers ship an all-zero summary.
+func appendSummary(buf []byte, w *worker) []byte {
+	buf, off := extend(buf, summaryFixed)
+	le := binary.LittleEndian
+	le.PutUint32(buf[off:], uint32(w.iterSamples))
+	off += 4
+	for _, v := range [...]uint64{
+		math.Float64bits(w.iterLoss), math.Float64bits(w.iterCompute),
+		math.Float64bits(w.iterTime), math.Float64bits(w.iterReadComm),
+		math.Float64bits(w.iterUpdateComm),
+		0, // reserved
+		uint64(w.iterLocalPrimary), uint64(w.iterLocalFresh),
+		uint64(w.iterSyncedIntra), uint64(w.iterSyncedInter), uint64(w.iterRemoteReads),
+		uint64(w.iterLocalSecondary), uint64(w.iterRemotePush), uint64(w.iterFlushed),
 	} {
-		buf = appendU64(buf, uint64(v))
+		le.PutUint64(buf[off:], v)
+		off += 8
 	}
 	buf = appendTraffic(buf, w.distReadPer)
-	buf = appendTraffic(buf, w.distUpdPer)
+	return appendTraffic(buf, w.distUpdPer)
+}
+
+// appendDense serialises a dense gradient.
+func appendDense(buf []byte, g []float32) []byte {
+	buf, off := extend(buf, 4*len(g))
+	for i, v := range g {
+		binary.LittleEndian.PutUint32(buf[off+i*4:], math.Float32bits(v))
+	}
 	return buf
+}
+
+// encodeIterationFrame builds this rank's iteration frame in one exact-size
+// allocation. The transport owns the frame after Send, so a fresh one is
+// built every iteration and never written again.
+func (t *Trainer) encodeIterationFrame(w *worker) []byte {
+	dense := t.denseGrad[w.id]
+	if w.iterSamples == 0 {
+		// reduceDense skips idle workers, so no gradient needs to travel.
+		dense = nil
+	}
+	sumLen, queuedLen := summarySize(t.n), t.table.QueuedSize(w.id)
+	buf := make([]byte, iterFrameHeader, iterFrameHeader+sumLen+queuedLen+4*len(dense))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(sumLen))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(queuedLen))
+	buf = appendSummary(buf, w)
+	buf = t.table.AppendQueued(buf, w.id)
+	return appendDense(buf, dense)
+}
+
+// splitIterationFrame validates a peer's iteration frame for an n-worker
+// job whose model has paramCount dense parameters and returns its three
+// sections. It never slices past the blob: a frame from the wire is
+// untrusted until every length has been checked.
+func splitIterationFrame(blob []byte, n, paramCount int) (summary, queued, dense []byte, err error) {
+	if len(blob) < iterFrameHeader {
+		return nil, nil, nil, fmt.Errorf("engine: iteration frame is %d bytes, want at least %d", len(blob), iterFrameHeader)
+	}
+	sumLen := uint64(binary.LittleEndian.Uint32(blob[0:]))
+	queuedLen := uint64(binary.LittleEndian.Uint32(blob[4:]))
+	body := blob[iterFrameHeader:]
+	if sumLen+queuedLen > uint64(len(body)) {
+		return nil, nil, nil, fmt.Errorf("engine: iteration frame sections (summary %d + queued %d bytes) overrun its %d-byte body",
+			sumLen, queuedLen, len(body))
+	}
+	if sumLen != uint64(summarySize(n)) {
+		return nil, nil, nil, fmt.Errorf("engine: iteration frame summary is %d bytes, want %d", sumLen, summarySize(n))
+	}
+	dense = body[sumLen+queuedLen:]
+	if len(dense) != 0 && len(dense) != 4*paramCount {
+		return nil, nil, nil, fmt.Errorf("engine: iteration frame dense section is %d bytes, want 0 or %d", len(dense), 4*paramCount)
+	}
+	return body[:sumLen], body[sumLen : sumLen+queuedLen], dense, nil
 }
 
 func decodeSummary(data []byte, n int) (*distSummary, error) {
@@ -164,20 +230,6 @@ func decodeSummary(data []byte, n int) (*distSummary, error) {
 	return s, nil
 }
 
-// encodeDense serialises this rank's dense gradient, or nil for an idle
-// iteration (reduceDense skips idle workers, so no bytes need to travel).
-func (t *Trainer) encodeDense(w *worker) []byte {
-	if w.iterSamples == 0 {
-		return nil
-	}
-	g := t.denseGrad[w.id]
-	buf := make([]byte, 4*len(g))
-	for i, v := range g {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	return buf
-}
-
 func decodeDense(dst []float32, data []byte) error {
 	if len(data) != 4*len(dst) {
 		return fmt.Errorf("engine: dense gradient blob is %d bytes, want %d", len(data), 4*len(dst))
@@ -189,10 +241,10 @@ func decodeDense(dst []float32, data []byte) error {
 }
 
 // distIterate is the distributed form of the per-iteration worker fan-out:
-// run this rank's worker, all-gather (summary, queued updates, dense
-// gradient), then replay every peer's effects locally so the rest of the
-// loop — barrier time, dense reduce, Commit, evaluation — executes
-// identically on every rank over identical state.
+// run this rank's worker, all-gather one iteration frame (summary, queued
+// updates, dense gradient), then replay every peer's effects locally so the
+// rest of the loop — barrier time, dense reduce, Commit, evaluation —
+// executes identically on every rank over identical state.
 func (t *Trainer) distIterate() error {
 	d := t.dist
 	me := t.workers[d.rank]
@@ -202,24 +254,20 @@ func (t *Trainer) distIterate() error {
 		me.resetIdle()
 	}
 
-	sums, err := d.coord.Exchange(comm.MsgClockSync, t.encodeSummary(me))
+	frames, err := d.coord.Exchange(comm.MsgGradPush, t.encodeIterationFrame(me))
 	if err != nil {
-		return fmt.Errorf("engine: summary exchange: %w", err)
-	}
-	queues, err := d.coord.Exchange(comm.MsgGradPush, t.table.EncodeQueued(d.rank))
-	if err != nil {
-		return fmt.Errorf("engine: gradient-push exchange: %w", err)
-	}
-	grads, err := d.coord.Exchange(comm.MsgAllReduce, t.encodeDense(me))
-	if err != nil {
-		return fmt.Errorf("engine: allreduce exchange: %w", err)
+		return fmt.Errorf("engine: iteration exchange: %w", err)
 	}
 
 	for p := 0; p < t.n; p++ {
 		if p == d.rank {
 			continue
 		}
-		if err := t.replayPeer(p, sums[p], queues[p], grads[p]); err != nil {
+		sum, queued, grad, err := splitIterationFrame(frames[p], t.n, len(t.denseGrad[p]))
+		if err == nil {
+			err = t.replayPeer(p, sum, queued, grad)
+		}
+		if err != nil {
 			return fmt.Errorf("engine: replaying rank %d: %w", p, err)
 		}
 	}
@@ -296,8 +344,8 @@ func (t *Trainer) distFlush() ([][]embed.OwnerTraffic, error) {
 	d := t.dist
 	traffic := t.table.FlushWorkerPending(d.rank)
 
-	payload := appendTraffic(make([]byte, 0, t.n*12), traffic)
-	payload = append(payload, t.table.EncodeQueued(d.rank)...)
+	payload := appendTraffic(make([]byte, 0, t.n*12+t.table.QueuedSize(d.rank)), traffic)
+	payload = t.table.AppendQueued(payload, d.rank)
 	blobs, err := d.coord.Exchange(comm.MsgEmbedPull, payload)
 	if err != nil {
 		return nil, fmt.Errorf("engine: flush exchange: %w", err)

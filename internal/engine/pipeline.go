@@ -63,18 +63,25 @@ func (w *worker) prepBatch(p *batchPrep, batch []int32) {
 		w.gen = 1
 	}
 	p.bs = len(batch)
-	p.uniq = p.uniq[:0]
+	// Stage the batch first: every iteration of this loop is independent, so
+	// the cache misses on the shuffled samples overlap instead of queueing
+	// behind the dedup's loop-carried state.
 	for r, si := range batch {
 		s := &cfg.Train.Samples[si]
 		p.labels[r] = s.Label
-		for f, x := range s.Features {
-			if w.uniqGen[x] != w.gen {
-				w.uniqGen[x] = w.gen
-				w.uniqSlot[x] = int32(len(p.uniq))
-				p.uniq = append(p.uniq, x)
-			}
-			p.batchIdx[r*fields+f] = w.uniqSlot[x]
+		copy(p.batchIdx[r*fields:(r+1)*fields], s.Features)
+	}
+	// Then replace each staged id by its slot, in the same (sample, field)
+	// order, so uniq keeps first-occurrence order.
+	p.uniq = p.uniq[:0]
+	idx := p.batchIdx[:len(batch)*fields]
+	for i, x := range idx {
+		if w.uniqGen[x] != w.gen {
+			w.uniqGen[x] = w.gen
+			w.uniqSlot[x] = int32(len(p.uniq))
+			p.uniq = append(p.uniq, x)
 		}
+		idx[i] = w.uniqSlot[x]
 	}
 	p.valid = true
 }

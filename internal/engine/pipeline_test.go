@@ -2,12 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"hetgmp/internal/nn"
 	"hetgmp/internal/obs"
+	"hetgmp/internal/xrand"
 )
 
 // batchParallelModels are factories for the three CTR models the
@@ -198,5 +201,91 @@ func TestPipelineEarlyStopJoinsPrefetch(t *testing.T) {
 	if got.FinalAUC != ref.FinalAUC || got.TotalSimTime != ref.TotalSimTime {
 		t.Fatalf("early-stopped pipelined run diverged: AUC %v/%v, sim time %v/%v",
 			got.FinalAUC, ref.FinalAUC, got.TotalSimTime, ref.TotalSimTime)
+	}
+}
+
+// TestPrepBatchMatchesMapDedup holds the staged prepBatch (fetch pass, then
+// dedup pass) to a naive first-occurrence map dedup on random batches: full
+// ones, a short final batch behind a full one (whose stale tail must not
+// leak in), batches with heavy repetition, and batches straddling the
+// generation counter's wrap, where stale stamps from an earlier "generation
+// 1" must not be mistaken for current ones.
+func TestPrepBatchMatchesMapDedup(t *testing.T) {
+	f := newFixture(t)
+	tr, err := NewTrainer(f.config(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.workers[0]
+	p := &w.prep[0]
+	samples := f.train.Samples
+	fields := f.train.NumFields
+	full := tr.cfg.BatchPerWorker
+	rng := xrand.New(99)
+
+	check := func(label string, batch []int32) {
+		t.Helper()
+		w.prepBatch(p, batch)
+		var uniq []int32
+		slot := map[int32]int32{}
+		idx := make([]int32, 0, len(batch)*fields)
+		labels := make([]float32, 0, len(batch))
+		for _, si := range batch {
+			labels = append(labels, samples[si].Label)
+			for _, x := range samples[si].Features {
+				s, ok := slot[x]
+				if !ok {
+					s = int32(len(uniq))
+					slot[x] = s
+					uniq = append(uniq, x)
+				}
+				idx = append(idx, s)
+			}
+		}
+		if !p.valid || p.bs != len(batch) {
+			t.Fatalf("%s: prep valid=%v bs=%d, want true/%d", label, p.valid, p.bs, len(batch))
+		}
+		if !slices.Equal(p.uniq, uniq) {
+			t.Fatalf("%s: uniq differs from first-occurrence order (%d vs %d entries)", label, len(p.uniq), len(uniq))
+		}
+		if !slices.Equal(p.batchIdx[:len(idx)], idx) {
+			t.Fatalf("%s: batchIdx differs from the map dedup", label)
+		}
+		if !slices.Equal(p.labels[:len(labels)], labels) {
+			t.Fatalf("%s: labels differ", label)
+		}
+	}
+	random := func(n int) []int32 {
+		batch := make([]int32, n)
+		for i := range batch {
+			batch[i] = int32(rng.Intn(len(samples)))
+		}
+		return batch
+	}
+
+	for i := 0; i < 20; i++ {
+		check("full", random(full))
+	}
+	check("short final", random(full/3+1))
+	check("single", random(1))
+	check("empty", nil)
+	repeated := random(full)
+	for i := range repeated {
+		repeated[i] = repeated[i%3] // three distinct samples, many duplicates
+	}
+	check("repeated", repeated)
+
+	// Generation wrap: stamp every feature as seen in generation 1, then run
+	// the counter over the top. The batch after the wrap is generation 1
+	// again and must still see every feature as new.
+	for x := range w.uniqGen {
+		w.uniqGen[x] = 1
+	}
+	w.gen = math.MaxUint32 - 2
+	for i := 0; i < 5; i++ {
+		check("wrap", random(full))
+	}
+	if w.gen != 3 {
+		t.Fatalf("generation counter at %d after wrapping, want 3", w.gen)
 	}
 }
