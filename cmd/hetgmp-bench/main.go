@@ -44,13 +44,16 @@ import (
 )
 
 func main() {
+	// A zero flag means "experiments.Defaults()"; the help text quotes those
+	// values from the same call so the two cannot drift.
+	def := experiments.Defaults()
 	var (
 		expFlag = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		scale   = flag.Float64("scale", 0, "dataset scale factor (default 1e-3)")
-		dim     = flag.Int("dim", 0, "embedding dimension (default 32)")
-		batch   = flag.Int("batch", 0, "per-worker batch size (default 256)")
-		epochs  = flag.Int("epochs", 0, "training epochs for end-to-end runs (default 4)")
-		seed    = flag.Uint64("seed", 0, "random seed (default 22)")
+		scale   = flag.Float64("scale", 0, fmt.Sprintf("dataset scale factor (default %g)", def.Scale))
+		dim     = flag.Int("dim", 0, fmt.Sprintf("embedding dimension (default %d)", def.Dim))
+		batch   = flag.Int("batch", 0, fmt.Sprintf("per-worker batch size (default %d)", def.Batch))
+		epochs  = flag.Int("epochs", 0, fmt.Sprintf("training epochs for end-to-end runs (default %d)", def.Epochs))
+		seed    = flag.Uint64("seed", 0, fmt.Sprintf("random seed (default %d)", def.Seed))
 		quick   = flag.Bool("quick", false, "trim datasets and arms for a fast pass")
 		check   = flag.Bool("check", false, "enable runtime invariant checking on every training run")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")

@@ -52,6 +52,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"hetgmp/internal/cluster"
@@ -240,10 +241,12 @@ func main() {
 	fmt.Printf("dataset: %s, %d train samples, %d features, %d fields; model %s dim %d\n\n",
 		*dsName, st.NumSamples, st.NumFeatures, st.NumFields, *model, *dim)
 
+	runStart := time.Now()
 	res, err := tr.Run()
 	if err != nil {
 		fatal(err)
 	}
+	wall := time.Since(runStart)
 
 	curve := report.New("convergence", "iteration", "epoch", "sim time (s)", "AUC", "train loss")
 	for _, pt := range res.History {
@@ -260,7 +263,8 @@ func main() {
 	sum.AddRow("iterations", res.Iterations)
 	sum.AddRow("samples processed", res.SamplesProcessed)
 	sum.AddRow("total simulated time (s)", res.TotalSimTime)
-	sum.AddRow("throughput (samples/s)", res.Throughput)
+	sum.AddRow("simulated throughput (samples/s)", res.Throughput)
+	addWallClockRows(sum, res.SamplesProcessed, wall, peakRSS())
 	sum.AddRow("communication fraction", report.Percent(res.CommFraction()))
 	b := res.Breakdown
 	sum.AddRow("embedding+grads bytes", report.FormatBytes(b.Bytes[comm.CatEmbedding]))
@@ -379,6 +383,32 @@ func main() {
 // features; ≥1: absolute rows). A memory budget overrides hot: the cache is
 // sized to fit budget bytes of rows (at least one), and every row the budget
 // cannot hold beyond the hot set spills cold.
+// addWallClockRows appends what the machine did, next to the simulated rate:
+// samples over the wall time of Trainer.Run, and the process's peak resident
+// set (skipped when the platform did not report one).
+func addWallClockRows(sum *report.Table, samples int64, wall time.Duration, peakRSSBytes int64) {
+	rate := 0.0
+	if wall > 0 {
+		rate = float64(samples) / wall.Seconds()
+	}
+	sum.AddRow("wall-clock throughput (samples/s)", rate)
+	if peakRSSBytes > 0 {
+		sum.AddRow("peak RSS", report.FormatBytes(peakRSSBytes))
+	}
+}
+
+// peakRSS returns ru_maxrss in bytes, 0 when getrusage fails.
+func peakRSS() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	if runtime.GOOS == "darwin" {
+		return int64(ru.Maxrss) // bytes there, KiB everywhere else
+	}
+	return int64(ru.Maxrss) << 10
+}
+
 func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) embed.TierConfig {
 	rows := func(v float64) int {
 		if v <= 0 {

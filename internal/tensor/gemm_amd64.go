@@ -2,35 +2,52 @@ package tensor
 
 import "fmt"
 
-// gemmPanel16 and gemmPanel4 (gemm_amd64.s) compute `pairs` consecutive row
-// pairs of one 16- or 4-column panel of dst = A·b: for each pair, two rows of
-// accumulators start at +0 and take, for k ascending, one MULPS and one ADDPS
-// per lane. They read a[p*2*aRow + {0,aRow} + k*aK] and b[k*bStride : +W] and
-// write dst[p*2*dstStride + {0,dstStride} : +W] for p < pairs, k < kk (byte
+// gemmPanel32, gemmPanel16 and gemmPanel4 (gemm_amd64.s) compute `pairs`
+// consecutive row pairs of one 32-, 16- or 4-column panel of dst = A·b: for
+// each pair, two rows of accumulators start at +0 and take, for k ascending,
+// one packed multiply and one packed add per lane. They read
+// a[p*2*aRow + {0,aRow} + k*aK] and b[k*bStride : +W] and write
+// dst[p*2*dstStride + {0,dstStride} : +W] for p < pairs, k < kk (byte
 // strides, unaligned access); the caller guarantees all of that is in bounds.
+// gemmPanel32 is AVX2 and may only run when wideGEMM says so; the other two
+// are SSE2, which every amd64 CPU has.
 //
+//go:noescape
+func gemmPanel32(dst *float32, dstStride uintptr, a *float32, aRow, aK uintptr, b *float32, bStride uintptr, pairs, kk uintptr)
+
 //go:noescape
 func gemmPanel16(dst *float32, dstStride uintptr, a *float32, aRow, aK uintptr, b *float32, bStride uintptr, pairs, kk uintptr)
 
 //go:noescape
 func gemmPanel4(dst *float32, dstStride uintptr, a *float32, aRow, aK uintptr, b *float32, bStride uintptr, pairs, kk uintptr)
 
-// gemm computes dst = A·b (see gemmRows for the operand layout) with the SSE2
-// panel kernels: row pairs × 16-column panels, then 4-column panels; fewer
-// than four remainder columns and an odd last row go to gemmRows.
+// cpuHasAVX2 (gemm_amd64.s) asks CPUID and XGETBV whether this CPU and OS
+// run 256-bit AVX2 code.
+func cpuHasAVX2() bool
+
+// wideGEMM puts the AVX2 panel at the head of gemm's column cascade. It is
+// probed once and nothing sets it: which cascade ran is invisible in the
+// results (see gemmWith), so there is nothing to configure.
+var wideGEMM = cpuHasAVX2()
+
+// gemmWith computes dst = A·b (see gemmRows for the operand layout) with the
+// register-panel kernels: row pairs × 32-column panels when wide, then
+// 16-column and 4-column panels; fewer than four remainder columns and an
+// odd last row go to gemmRows.
 //
-// Same bits as gemmRows: SIMD lanes run across output columns, never across
-// k, and amd64 has no fused multiply-add in either path, so each dst element
-// is the identical sequence of float32 roundings. The kernels do not skip
-// zero a-elements as gemmRows does; that is bit-neutral for finite operands,
-// because an accumulator starts at +0 and x + ±0 can never turn it into −0.
-// The only divergence is 0·Inf = NaN, after training has already diverged.
+// Same bits as gemmRows, wide or not: SIMD lanes run across output columns,
+// never across k, and amd64 has no fused multiply-add in any path, so each
+// dst element is the identical sequence of float32 roundings. The kernels do
+// not skip zero a-elements as gemmRows does; that is bit-neutral for finite
+// operands, because an accumulator starts at +0 and x + ±0 can never turn it
+// into −0. The only divergence is 0·Inf = NaN, after training has already
+// diverged.
 //
 // Bounds contract: the length check below is what makes every address the
 // assembly touches lie inside dst, a and b — either layout of a spans exactly
 // m·kk elements, and a panel at column j reads and writes columns
 // [j, j+W) ⊆ [0, n) of rows that exist.
-func gemm(dst, a []float32, transA bool, b []float32, m, n, kk int) {
+func gemmWith(wide bool, dst, a []float32, transA bool, b []float32, m, n, kk int) {
 	if len(dst) != m*n || len(a) != m*kk || len(b) != kk*n {
 		panic(fmt.Sprintf("tensor: gemm operands of %d/%d/%d elements do not span %dx%dx%d",
 			len(dst), len(a), len(b), m, n, kk))
@@ -41,12 +58,18 @@ func gemm(dst, a []float32, transA bool, b []float32, m, n, kk int) {
 	}
 	if paired > 0 {
 		aRow, aK := aStrides(transA, m, kk)
-		pairs, stride := uintptr(paired/2), uintptr(n*4)
+		rowB, kB := uintptr(aRow*4), uintptr(aK*4)
+		pairs, stride, k := uintptr(paired/2), uintptr(n*4), uintptr(kk)
+		if wide {
+			for ; j+32 <= n; j += 32 {
+				gemmPanel32(&dst[j], stride, &a[0], rowB, kB, &b[j], stride, pairs, k)
+			}
+		}
 		for ; j+16 <= n; j += 16 {
-			gemmPanel16(&dst[j], stride, &a[0], uintptr(aRow*4), uintptr(aK*4), &b[j], stride, pairs, uintptr(kk))
+			gemmPanel16(&dst[j], stride, &a[0], rowB, kB, &b[j], stride, pairs, k)
 		}
 		for ; j+4 <= n; j += 4 {
-			gemmPanel4(&dst[j], stride, &a[0], uintptr(aRow*4), uintptr(aK*4), &b[j], stride, pairs, uintptr(kk))
+			gemmPanel4(&dst[j], stride, &a[0], rowB, kB, &b[j], stride, pairs, k)
 		}
 	}
 	gemmRows(dst, a, transA, b, m, n, kk, 0, paired, j)

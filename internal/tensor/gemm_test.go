@@ -3,29 +3,46 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"hetgmp/internal/xrand"
 )
 
-// gemmKernels lists the three GEMM entry points with their straight-line
-// references and operand shapes for a rows×cols result summed over kk terms.
+// gemmKernels lists the two GEMM entry points with their straight-line
+// references for a rows×cols result summed over kk terms; b is kk×cols for
+// both. With transA, a is the kk×rows matrix whose transpose is multiplied —
+// so a row range of dst no longer depends on the same rows of a alone.
 var gemmKernels = []struct {
-	name      string
-	run, ref  func(dst, a, b *Matrix)
-	aShape    func(rows, kk int) (int, int)
-	bShape    func(kk, cols int) (int, int)
-	rowSplits bool // a row range of dst depends only on the same rows of a
+	name     string
+	run, ref func(dst, a, b *Matrix)
+	transA   bool
 }{
-	{"MatMul", MatMul, refMatMul,
-		func(rows, kk int) (int, int) { return rows, kk },
-		func(kk, cols int) (int, int) { return kk, cols }, true},
-	{"MatMulATB", MatMulATB, refMatMulATB,
-		func(rows, kk int) (int, int) { return kk, rows },
-		func(kk, cols int) (int, int) { return kk, cols }, false},
-	{"MatMulABT", MatMulABT, refMatMulABT,
-		func(rows, kk int) (int, int) { return rows, kk },
-		func(kk, cols int) (int, int) { return cols, kk }, true},
+	{"MatMul", MatMul, refMatMul, false},
+	{"MatMulATB", MatMulATB, refMatMulATB, true},
+}
+
+// aShape returns the shape of the a-operand of a rows×cols = Σ_kk product.
+func aShape(transA bool, rows, kk int) (int, int) {
+	if transA {
+		return kk, rows
+	}
+	return rows, kk
+}
+
+// panelName names the widest column panel gemm starts its cascade with on
+// this CPU; logs and benchmark names carry it.
+func panelName() string {
+	switch {
+	case wideGEMM:
+		return "avx2x32"
+	case runtime.GOARCH == "amd64":
+		return "sse2x16"
+	}
+	return "portable"
 }
 
 // canary is the bit pattern surrounding every carved operand: a quiet NaN,
@@ -70,42 +87,84 @@ func (c carved) intact() bool {
 	return true
 }
 
-// TestGEMMBitIdentitySweep pins the exactness contract of MatMul, MatMulATB
-// and MatMulABT on every panel, remainder and GEMV shape: each dst element is
-// the left-to-right float32 sum its straight-line reference computes, bit for
+// TestGEMMBitIdentitySweep pins the exactness contract of MatMul and
+// MatMulATB on every panel, remainder and GEMV shape: each dst element is the
+// left-to-right float32 sum its straight-line reference computes, bit for
 // bit, on dense and half-zero operands (the kernels differ in whether they
-// skip zeros). The operands are unaligned views inside canary-filled slices:
-// a kernel that writes outside dst, or reads outside a or b into a result,
-// fails here at the shape that triggers it.
+// skip zeros). Every shape runs through the entry point and through both
+// column cascades gemm can pick — without the 32-wide panel and, where the
+// CPU has it, with — so the bits cannot depend on which one a host selects.
+// The operands are unaligned views inside canary-filled slices: a kernel that
+// writes outside dst, or reads outside a or b into a result, fails here at
+// the shape that triggers it.
 func TestGEMMBitIdentitySweep(t *testing.T) {
+	t.Logf("gemm cascade on this CPU starts at: %s", panelName())
 	r := xrand.New(29)
 	for _, kern := range gemmKernels {
+		type path struct {
+			name string
+			run  func(dst, a, b *Matrix)
+		}
+		paths := []path{{kern.name, kern.run}}
+		for _, wide := range []bool{false, true} {
+			if wide && !wideGEMM {
+				continue
+			}
+			paths = append(paths, path{fmt.Sprintf("%s/gemmWith(wide=%v)", kern.name, wide), func(dst, a, b *Matrix) {
+				gemmWith(wide, dst.Data, a.Data, kern.transA, b.Data, dst.Rows, dst.Cols, b.Rows)
+			}})
+		}
 		for _, rows := range []int{0, 1, 2, 63, 64, 65} {
-			for _, kk := range []int{0, 1, 31, 64, 832} {
-				for _, cols := range []int{1, 3, 4, 5, 15, 16, 17, 64, 65} {
+			for _, kk := range []int{0, 1, 4, 31, 64, 832} {
+				for _, cols := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 96, 832} {
 					for _, zeroFrac := range []float32{0, 0.5} {
-						ar, ac := kern.aShape(rows, kk)
-						br, bc := kern.bShape(kk, cols)
-						a, b, got := carve(ar, ac, 1), carve(br, bc, 3), carve(rows, cols, 5)
+						ar, ac := aShape(kern.transA, rows, kk)
+						a, b := carve(ar, ac, 1), carve(kk, cols, 3)
 						a.fill(r, zeroFrac)
 						b.fill(r, zeroFrac)
 						want := NewMatrix(rows, cols)
-						kern.run(got.Matrix, a.Matrix, b.Matrix)
 						kern.ref(want, a.Matrix, b.Matrix)
-						id := fmt.Sprintf("%s %dx%dx%d zero=%g", kern.name, rows, kk, cols, zeroFrac)
-						for i := range want.Data {
-							if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-								t.Fatalf("%s: element %d = %v, reference %v", id, i, got.Data[i], want.Data[i])
+						for _, path := range paths {
+							got := carve(rows, cols, 5)
+							path.run(got.Matrix, a.Matrix, b.Matrix)
+							id := fmt.Sprintf("%s %dx%dx%d zero=%g", path.name, rows, kk, cols, zeroFrac)
+							for i := range want.Data {
+								if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+									t.Fatalf("%s: element %d = %v, reference %v", id, i, got.Data[i], want.Data[i])
+								}
 							}
-						}
-						if !got.intact() || !a.intact() || !b.intact() {
-							t.Fatalf("%s: wrote outside dst (dst/a/b intact: %v/%v/%v)",
-								id, got.intact(), a.intact(), b.intact())
+							if !got.intact() || !a.intact() || !b.intact() {
+								t.Fatalf("%s: wrote outside dst (dst/a/b intact: %v/%v/%v)",
+									id, got.intact(), a.intact(), b.intact())
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestCPUProbeMatchesProcCpuinfo checks the CPUID/XGETBV probe behind
+// wideGEMM against the kernel's own reading of the same bits: the avx2 flag
+// is in /proc/cpuinfo exactly when the CPU has it and the OS saves YMM state.
+func TestCPUProbeMatchesProcCpuinfo(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /proc/cpuinfo")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no cpuinfo: %v", err)
+	}
+	listed := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			listed = slices.Contains(strings.Fields(flags), "avx2")
+			break
+		}
+	}
+	if wideGEMM != listed {
+		t.Fatalf("probe says AVX2 usable = %v, /proc/cpuinfo lists avx2 = %v", wideGEMM, listed)
 	}
 }
 
@@ -121,12 +180,11 @@ func TestGEMMRowViewsMatchWhole(t *testing.T) {
 		return &Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
 	}
 	for _, kern := range gemmKernels {
-		if !kern.rowSplits {
-			continue
+		if kern.transA {
+			continue // a row of dst reads a column of a: no row view of a exists
 		}
-		br, bc := kern.bShape(kk, n)
 		a := &Matrix{Rows: m, Cols: kk, Data: randSlice(r, m*kk)}
-		b := &Matrix{Rows: br, Cols: bc, Data: randSlice(r, br*bc)}
+		b := &Matrix{Rows: kk, Cols: n, Data: randSlice(r, kk*n)}
 		want := NewMatrix(m, n)
 		kern.run(want, a, b)
 		for _, cuts := range [][]int{{0, m}, {0, 0, m, m}, {0, 5, 13}, {0, 1, 2, 7, 13}, {0, 4, 4, 8, 13}, {4, 9}} {
@@ -172,23 +230,20 @@ func TestTranspose(t *testing.T) {
 // workloads runs: 64×832×64 is WDL's first hidden layer on criteo
 // (dense-bound), 64×88×4 the only hidden layer of embed-bound. MB/s counts
 // the three operands once; GFLOP/s is the rate the ledger's nn.gflops sums.
+// The sub-benchmark name ends in the panel the CPU selected (panelName).
 func benchGEMM(b *testing.B, kernel int) {
 	kern := gemmKernels[kernel]
 	for _, shape := range [][3]int{{64, 832, 64}, {64, 88, 4}} {
 		batch, in, out := shape[0], shape[1], shape[2]
-		// Forward (MatMul) sums over in; dW (ATB) over the batch; dIn (ABT) over out.
+		// Forward (MatMul) sums over in; dW (ATB) over the batch.
 		rows, kk, cols := batch, in, out
-		switch kern.name {
-		case "MatMulATB":
-			rows, kk, cols = in, batch, out
-		case "MatMulABT":
-			rows, kk, cols = batch, out, in
+		if kern.transA {
+			rows, kk = in, batch
 		}
-		b.Run(fmt.Sprintf("%dx%dx%d", batch, in, out), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dx%dx%d/%s", batch, in, out, panelName()), func(b *testing.B) {
 			r := xrand.New(3)
-			ar, ac := kern.aShape(rows, kk)
-			br, bc := kern.bShape(kk, cols)
-			a, bm, dst := randomMatrix(ar, ac, r), randomMatrix(br, bc, r), NewMatrix(rows, cols)
+			ar, ac := aShape(kern.transA, rows, kk)
+			a, bm, dst := randomMatrix(ar, ac, r), randomMatrix(kk, cols, r), NewMatrix(rows, cols)
 			b.SetBytes(int64(4 * (len(a.Data) + len(bm.Data) + len(dst.Data))))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -202,4 +257,3 @@ func benchGEMM(b *testing.B, kernel int) {
 
 func BenchmarkMatMul(b *testing.B)    { benchGEMM(b, 0) }
 func BenchmarkMatMulATB(b *testing.B) { benchGEMM(b, 1) }
-func BenchmarkMatMulABT(b *testing.B) { benchGEMM(b, 2) }

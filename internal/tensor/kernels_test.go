@@ -44,21 +44,6 @@ func refMatMulATB(dst, a, b *Matrix) {
 	}
 }
 
-func refMatMulABT(dst, a, b *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
-}
-
 func randSlice(r *xrand.RNG, n int) []float32 {
 	s := make([]float32, n)
 	for i := range s {

@@ -39,13 +39,6 @@ func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero sets every element of m to zero.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -110,7 +103,7 @@ func aStrides(transA bool, m, kk int) (aRow, aK int) {
 // post-ReLU operand) are skipped, which cannot change a finite sum.
 //
 // It is the whole implementation off amd64, and on amd64 both the edge
-// handler of the SSE2 panels and the oracle their tests compare against.
+// handler of the register panels and the oracle their tests compare against.
 func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 int) {
 	if j0 >= n {
 		return
@@ -129,6 +122,12 @@ func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 i
 			axpyCore(aik, b[k*n+j0:(k+1)*n], drow)
 		}
 	}
+}
+
+// gemm computes dst = A·b with the widest kernels this CPU runs; every choice
+// gemmWith can make yields the same bits.
+func gemm(dst, a []float32, transA bool, b []float32, m, n, kk int) {
+	gemmWith(wideGEMM, dst, a, transA, b, m, n, kk)
 }
 
 // MatMul computes dst = a · b. dst must be pre-allocated with shape
@@ -201,25 +200,6 @@ func MatMulATB(dst, a, b *Matrix) {
 		return
 	}
 	gemm(d, x, true, w, m, n, kk)
-}
-
-// MatMulABT computes dst = a · bᵀ, used for input gradients
-// (dx = dy · Wᵀ). dst must have shape a.Rows×b.Rows. Every dst element is
-// the left-to-right float32 sum over k, so it is MatMul over bᵀ; a vector b
-// is its own transpose, any other b is transposed into a scratch matrix
-// allocated per call. A caller that reuses b keeps bᵀ (Transpose) and calls
-// MatMul itself, as nn.Linear does.
-func MatMulABT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	bt := &Matrix{Rows: b.Cols, Cols: b.Rows, Data: b.Data}
-	if b.Rows > 1 && b.Cols > 1 {
-		bt = NewMatrix(b.Cols, b.Rows)
-		Transpose(bt, b)
-	}
-	MatMul(dst, a, bt)
 }
 
 // Transpose writes srcᵀ into dst, which must have shape src.Cols×src.Rows
@@ -347,28 +327,4 @@ func ReLUBackward(grad *Matrix, mask []float32) {
 // saturated tails before rounding back to float32.
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// Clip bounds every element of x to [-c, c] in place. Gradient clipping
-// keeps the asynchronous runs numerically stable at large staleness.
-func Clip(x []float32, c float32) {
-	if c <= 0 {
-		return
-	}
-	for i, v := range x {
-		if v > c {
-			x[i] = c
-		} else if v < -c {
-			x[i] = -c
-		}
-	}
 }
