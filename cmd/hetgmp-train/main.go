@@ -378,11 +378,6 @@ func main() {
 	}
 }
 
-// tierConfig resolves the tier flags against the dataset's feature count.
-// hot and cold follow the fraction-or-rows convention (<1: fraction of
-// features; ≥1: absolute rows). A memory budget overrides hot: the cache is
-// sized to fit budget bytes of rows (at least one), and every row the budget
-// cannot hold beyond the hot set spills cold.
 // addWallClockRows appends what the machine did, next to the simulated rate:
 // samples over the wall time of Trainer.Run, and the process's peak resident
 // set (skipped when the platform did not report one).
@@ -409,13 +404,19 @@ func peakRSS() int64 {
 	return int64(ru.Maxrss) << 10
 }
 
+// tierConfig resolves the tier flags against the dataset's feature count.
+// hot and cold follow the fraction-or-rows convention (<1: fraction of
+// features; ≥1: absolute rows), and a positive value always means at least
+// one row, so a tiny fraction cannot silently train flat. A memory budget
+// overrides hot: the cache is sized to fit budget bytes of rows (at least
+// one), and every row the budget cannot hold beyond the hot set spills cold.
 func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) embed.TierConfig {
 	rows := func(v float64) int {
 		if v <= 0 {
 			return 0
 		}
 		if v < 1 {
-			return int(v * float64(features))
+			return max(int(v*float64(features)), 1)
 		}
 		return int(v)
 	}

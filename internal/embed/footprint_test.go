@@ -117,7 +117,7 @@ func TestFootprintDeterministic(t *testing.T) {
 // the sum of its children — analyze.VerifyCapacity's invariant) and the
 // tier leaves agree with the TierStats ledger.
 func TestTieredFootprintAccountsAllStructures(t *testing.T) {
-	tbl := tierFixture(t, testTiers(), CommitConfig{})
+	tbl := tierFixture(t, testTiers())
 	driveCommitWorkload(tbl, 2) // grow the touch logs past capacity zero
 	fp := tbl.Footprint()
 	if err := fp.Validate(); err != nil {
@@ -169,7 +169,7 @@ func TestFootprintCountsEveryShardScratchSlice(t *testing.T) {
 	}
 	accountedElsewhere := map[string]bool{
 		"index": true, "feats": true, "vals": true, "pending": true, "pendCnt": true, "baseClock": true, // replicas.*
-		"queues": true, "arena": true, "fuseGen": true, "fuseSlot": true, "gen": true, // queues.*
+		"queues": true, "arena": true, // queues.*
 	}
 	want := int64(len(tbl.freqRank))*int64(unsafe.Sizeof(freqRank{})) + int64(len(tbl.stepNormShard))*8
 	for _, row := range tbl.normScratch { // empty unless norm tracking is on

@@ -27,9 +27,7 @@
 //     feature's updates in deterministic (worker, queue-position) order —
 //     the same per-feature order the serial drain used.
 //
-// This yields bit-reproducible runs regardless of GOMAXPROCS. See
-// CommitConfig for the retained serial reference mode and the queue-side
-// delta fusion available to linear optimizers.
+// This yields bit-reproducible runs regardless of GOMAXPROCS.
 package embed
 
 import (
@@ -79,38 +77,10 @@ type Config struct {
 	// counters, replica hit/miss counters, and snapshot-time clock gauges.
 	// Nil disables all metrics at the cost of one pointer comparison.
 	Obs *obs.Registry
-	// Commit selects the queue→commit implementation.
-	Commit CommitConfig
 	// Tiers selects the primary-row storage implementation (see tier.go).
 	// The zero value keeps the flat matrix; an enabled config is
 	// bit-identical to it at any GOMAXPROCS.
 	Tiers TierConfig
-}
-
-// CommitConfig selects the Table's queue→commit implementation.
-type CommitConfig struct {
-	// Reference retains the seed implementation — a heap-allocated delta
-	// copy per queued update and a strictly serial single-goroutine drain —
-	// as the measurable baseline, à la partition.HybridConfig.Reference.
-	// The default path is bit-identical to it at any parallelism; the flag
-	// exists so hetgmp-bench -perf-train can time the serial iteration
-	// tail this mode preserves.
-	Reference bool
-	// Fuse merges duplicate per-feature deltas queue-side: when a worker
-	// queues a second update for a feature inside one commit window, the
-	// deltas add in place and the entry's count grows, so the primary is
-	// touched once but its clock still advances by the full update count.
-	// Fusion is honoured only when the optimizer declares
-	// optim.Linearizable — for AdaGrad-style rules the accumulator makes a
-	// fused apply a different trajectory, not just different rounding, so
-	// they keep the sequential apply. Fused commits preserve clocks and
-	// traffic exactly and primary values to float rounding; the default is
-	// off so runs stay bit-identical to the reference path.
-	Fuse bool
-	// Parallelism caps the commit's owner-sweep goroutines. 0 means
-	// GOMAXPROCS; the effective value never exceeds the worker count, and
-	// small queues fall back to the serial drain to skip the spawn cost.
-	Parallelism int
 }
 
 // OwnerTraffic counts one worker's protocol traffic with one primary owner
@@ -170,11 +140,6 @@ type Table struct {
 	// met feeds the obs registry when non-nil.
 	met *tableMetrics
 
-	// commitCfg is the resolved commit configuration; fuse is true only
-	// when CommitConfig.Fuse was requested AND the optimizer is linear.
-	commitCfg CommitConfig
-	fuse      bool
-
 	// Theorem-1 instrumentation (see TrackStepNorms). Norm accumulation is
 	// sharded by primary owner so parallel owner sweeps never share a cell;
 	// finishCommit folds the shards into stepNormSq in fixed owner order.
@@ -203,15 +168,8 @@ type shard struct {
 	queues [][]primaryUpdate
 	// arena backs the queued delta slices: deltas are carved from one
 	// append-grown buffer that is reset (not freed) every commit, so the
-	// steady-state queue→commit path allocates nothing. Reference mode
-	// bypasses it and heap-allocates per update like the seed did.
+	// steady-state queue→commit path allocates nothing.
 	arena []float32
-	// Generation-stamped fusion index (allocated only when fusion is on):
-	// fuseGen[x] == gen marks feature x as already queued this window, with
-	// fuseSlot[x] holding its entry's index in queues[owner].
-	fuseGen  []uint32
-	fuseSlot []int32
-	gen      uint32
 
 	// scratch reused by Read/Update. rowOf[i] is the secondary row Read
 	// resolved feats[i] to, or -1 when the primary clock speaks for it (local
@@ -223,19 +181,12 @@ type shard struct {
 }
 
 // resetQueues empties every owner bucket and the delta arena, retaining
-// capacity, and opens a new fusion generation.
+// capacity.
 func (sh *shard) resetQueues() {
 	for o := range sh.queues {
 		sh.queues[o] = sh.queues[o][:0]
 	}
 	sh.arena = sh.arena[:0]
-	sh.gen++
-	if sh.gen == 0 { // wraparound: invalidate all stamps the slow way
-		for i := range sh.fuseGen {
-			sh.fuseGen[i] = 0
-		}
-		sh.gen = 1
-	}
 }
 
 type primaryUpdate struct {
@@ -418,7 +369,6 @@ func NewTable(cfg Config) (*Table, error) {
 		assign:       cfg.Assign,
 		primaryClock: make([]int64, cfg.NumFeatures),
 		check:        cfg.Check,
-		commitCfg:    cfg.Commit,
 	}
 	if cfg.Tiers.Enabled() {
 		store, err := newTieredStore(cfg.Tiers, cfg.NumFeatures, cfg.Dim, cfg.Assign.N)
@@ -429,7 +379,6 @@ func NewTable(cfg Config) (*Table, error) {
 	} else {
 		t.store = newFlatStore(cfg.NumFeatures, cfg.Dim)
 	}
-	t.fuse = cfg.Commit.Fuse && !cfg.Commit.Reference && optim.IsLinear(cfg.Optimizer)
 	// Row-major per-row fill: the rng sequence is identical to the seed's
 	// flat-matrix loop, whichever tier a row lands in.
 	rng := xrand.New(cfg.Seed ^ 0xe8bede8bede8bede)
@@ -453,12 +402,7 @@ func NewTable(cfg Config) (*Table, error) {
 			pendCnt:   make([]int32, len(feats)),
 			baseClock: make([]int64, len(feats)),
 			queues:    make([][]primaryUpdate, t.n),
-			gen:       1,
 			perOwner:  make([]OwnerTraffic, t.n),
-		}
-		if t.fuse {
-			sh.fuseGen = make([]uint32, cfg.NumFeatures)
-			sh.fuseSlot = make([]int32, cfg.NumFeatures)
 		}
 		for row, x := range feats {
 			sh.index[x] = int32(row)
@@ -884,40 +828,18 @@ func (t *Table) QueuePrimary(w int, x int32, grad []float32) {
 }
 
 // queueUpdate buckets one primary effect for feature x (owned by owner)
-// into sh's owner queues. The default path carves the delta copy from the
-// shard's arena, so the steady-state queue→commit path allocates nothing;
-// Reference mode heap-allocates per update exactly like the seed path did,
-// so the A/B benchmark includes the allocation cost the arena removes. When
-// fusion is on and x already holds an entry this window, the delta and
-// count fold into it in place: the clock advance is identical, and the
-// value is what a linear optimizer produces from the summed gradient.
+// into sh's owner queues. The delta copy is carved from the shard's arena,
+// so the steady-state queue→commit path allocates nothing.
 func (t *Table) queueUpdate(sh *shard, owner int, x int32, count int32, grad []float32) {
-	if t.fuse && sh.fuseGen[x] == sh.gen {
-		u := &sh.queues[owner][sh.fuseSlot[x]]
-		for i, g := range grad {
-			u.delta[i] += g
-		}
-		u.count += count
-		return
-	}
-	var delta []float32
-	if t.commitCfg.Reference {
-		delta = make([]float32, t.dim)
+	n := len(sh.arena)
+	if n+t.dim <= cap(sh.arena) {
+		sh.arena = sh.arena[:n+t.dim]
 	} else {
-		n := len(sh.arena)
-		if n+t.dim <= cap(sh.arena) {
-			sh.arena = sh.arena[:n+t.dim]
-		} else {
-			sh.arena = append(sh.arena, make([]float32, t.dim)...)
-		}
-		delta = sh.arena[n : n+t.dim : n+t.dim]
+		sh.arena = append(sh.arena, make([]float32, t.dim)...)
 	}
+	delta := sh.arena[n : n+t.dim : n+t.dim]
 	copy(delta, grad)
 	sh.queues[owner] = append(sh.queues[owner], primaryUpdate{x: x, count: count, delta: delta})
-	if t.fuse {
-		sh.fuseGen[x] = sh.gen
-		sh.fuseSlot[x] = int32(len(sh.queues[owner]) - 1)
-	}
 }
 
 // commitSpawnThreshold is the queued-update count below which Commit keeps
@@ -932,7 +854,7 @@ const commitSpawnThreshold = 256
 // each feature has exactly one owner, so the owner sweeps write disjoint
 // primary rows and clocks, and each sweep applies a feature's updates in
 // the same (worker ascending, queue-position ascending) order the serial
-// reference drain uses — the result is bit-identical at any parallelism.
+// drain uses — the result is bit-identical at any parallelism.
 func (t *Table) Commit() {
 	if par := t.commitParallelism(); par > 1 && t.queuedUpdates() >= commitSpawnThreshold {
 		t.commitParallel(par)
@@ -944,15 +866,10 @@ func (t *Table) Commit() {
 	t.finishCommit()
 }
 
-// commitParallelism resolves the effective owner-sweep goroutine count.
+// commitParallelism resolves the owner-sweep goroutine count: GOMAXPROCS,
+// capped at the worker count.
 func (t *Table) commitParallelism() int {
-	if t.commitCfg.Reference {
-		return 1
-	}
-	par := t.commitCfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := runtime.GOMAXPROCS(0)
 	if par > t.n {
 		par = t.n
 	}

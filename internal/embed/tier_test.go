@@ -14,7 +14,7 @@ import (
 // shape, with a hot budget of 64 rows (12.5% of the table — within the
 // acceptance bar's ≤25%) and the top half of the id space spilled cold
 // across several small shards.
-func tierFixture(t *testing.T, tiers TierConfig, commit CommitConfig) *Table {
+func tierFixture(t *testing.T, tiers TierConfig) *Table {
 	t.Helper()
 	const (
 		workers  = 8
@@ -34,8 +34,7 @@ func tierFixture(t *testing.T, tiers TierConfig, commit CommitConfig) *Table {
 	tbl, err := NewTable(Config{
 		NumFeatures: features, Dim: dim, Assign: a,
 		Optimizer: optim.NewSGD(0.05), LocalLR: 0.1, Seed: 21,
-		Commit: commit,
-		Tiers:  tiers,
+		Tiers: tiers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +48,12 @@ func testTiers() TierConfig {
 }
 
 // TestTieredBitIdenticalToFlat is the storage-level oracle: the same
-// workload through the tiered store and the flat Reference store must leave
+// workload through the tiered store and the flat store must leave
 // bit-identical primary values, clocks, and checkpoint bytes — at
 // GOMAXPROCS 1, 4 and 8 — while the tiered run actually exercises all
 // three tiers with a hot budget several times smaller than the table.
 func TestTieredBitIdenticalToFlat(t *testing.T) {
-	flat := tierFixture(t, TierConfig{Reference: true, HotRows: 64}, CommitConfig{})
+	flat := tierFixture(t, TierConfig{})
 	driveCommitWorkload(flat, 4)
 	want := snapshotCommit(flat)
 	var wantCkpt bytes.Buffer
@@ -64,7 +63,7 @@ func TestTieredBitIdenticalToFlat(t *testing.T) {
 
 	for _, procs := range []int{1, 4, 8} {
 		old := runtime.GOMAXPROCS(procs)
-		tiered := tierFixture(t, testTiers(), CommitConfig{})
+		tiered := tierFixture(t, testTiers())
 		driveCommitWorkload(tiered, 4)
 		runtime.GOMAXPROCS(old)
 
@@ -110,7 +109,7 @@ func TestTieredBitIdenticalToFlat(t *testing.T) {
 // TestTieredEvictionDeterministic pins the eviction decisions themselves:
 // the cache's full internal state (slot assignment, reference counters,
 // clock hand, promotion/demotion totals) must be identical at any
-// GOMAXPROCS and commit parallelism.
+// GOMAXPROCS, and so at any commit parallelism.
 func TestTieredEvictionDeterministic(t *testing.T) {
 	type cacheState struct {
 		slotOf  []int32
@@ -119,10 +118,10 @@ func TestTieredEvictionDeterministic(t *testing.T) {
 		hand    int
 		stats   TierStats
 	}
-	capture := func(procs int, commit CommitConfig) cacheState {
+	capture := func(procs int) cacheState {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		tbl := tierFixture(t, testTiers(), commit)
+		tbl := tierFixture(t, testTiers())
 		driveCommitWorkload(tbl, 3)
 		s := tbl.store.(*tieredStore)
 		return cacheState{
@@ -133,12 +132,12 @@ func TestTieredEvictionDeterministic(t *testing.T) {
 			stats:   *tbl.TierStats(),
 		}
 	}
-	ref := capture(1, CommitConfig{Parallelism: 1})
+	ref := capture(1)
 	if ref.stats.Promotions == 0 || ref.stats.Demotions == 0 {
 		t.Fatalf("workload too tame to test eviction: %+v", ref.stats)
 	}
 	for _, procs := range []int{1, 4, 8} {
-		got := capture(procs, CommitConfig{})
+		got := capture(procs)
 		if got.hand != ref.hand {
 			t.Fatalf("GOMAXPROCS=%d: clock hand %d, reference %d", procs, got.hand, ref.hand)
 		}
@@ -219,14 +218,14 @@ func TestTieredPromotionDemotionUnderCommit(t *testing.T) {
 // boundary: a tiered table's bytes restore into a flat table and vice
 // versa, landing on identical state.
 func TestTieredCheckpointInterchange(t *testing.T) {
-	tiered := tierFixture(t, testTiers(), CommitConfig{})
+	tiered := tierFixture(t, testTiers())
 	driveCommitWorkload(tiered, 2)
 	var ckpt bytes.Buffer
 	if _, err := tiered.WriteTo(&ckpt); err != nil {
 		t.Fatal(err)
 	}
 
-	flat := tierFixture(t, TierConfig{Reference: true, HotRows: 64}, CommitConfig{})
+	flat := tierFixture(t, TierConfig{})
 	if _, err := flat.ReadFrom(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestTieredCheckpointInterchange(t *testing.T) {
 		}
 	}
 
-	restored := tierFixture(t, testTiers(), CommitConfig{})
+	restored := tierFixture(t, testTiers())
 	if _, err := restored.ReadFrom(bytes.NewReader(ckpt.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestTieredCheckpointInterchange(t *testing.T) {
 // created its own temp directory removes it on Close, and Close is
 // idempotent.
 func TestTieredCloseRemovesSpill(t *testing.T) {
-	tbl := tierFixture(t, testTiers(), CommitConfig{})
+	tbl := tierFixture(t, testTiers())
 	s := tbl.store.(*tieredStore)
 	dir := s.cold.dir
 	if _, err := os.Stat(dir); err != nil {
@@ -276,7 +275,7 @@ func TestTieredColdDirKept(t *testing.T) {
 	dir := t.TempDir()
 	tiers := testTiers()
 	tiers.ColdDir = dir
-	tbl := tierFixture(t, tiers, CommitConfig{})
+	tbl := tierFixture(t, tiers)
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,8 @@ func (t *Trainer) Footprint() obs.Footprint {
 	for _, w := range t.workers {
 		states = append(states, w.state)
 		dedup += int64(len(w.uniqGen))*4 + int64(len(w.uniqSlot))*4
-		for i := range w.prep {
-			p := &w.prep[i]
-			prep += int64(cap(p.uniq))*4 + int64(cap(p.batchIdx))*4 + int64(cap(p.labels))*4
-		}
+		p := &w.prep
+		prep += int64(cap(p.uniq))*4 + int64(cap(p.batchIdx))*4 + int64(cap(p.labels))*4
 		gather += bufBytes(w.embBuf) + bufBytes(w.gradBuf) + bufBytes(w.input) +
 			int64(len(w.dLogit))*4 + int64(len(w.iterHostBytes))*8 + int64(len(w.hostVecs))*8
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -8,59 +9,32 @@ import (
 	"hetgmp/internal/partition"
 )
 
-// TestExecPoolMatchesReference pins the tentpole contract on the engine
-// side: the persistent worker pool, chunked dense sweeps and parallel
-// sharded commit produce a Result — history, AUC, sim time, step norms,
-// traffic — bit-identical to the Reference execution (per-iteration
-// goroutine spawns, serial reduce, serial commit) at any GOMAXPROCS.
+// TestExecPoolMatchesReference pins the engine's execution contract: the
+// persistent worker pool, chunked dense sweeps, batch-parallel dense math
+// and parallel sharded commit produce a Result — history, AUC, sim time,
+// step norms, traffic — at GOMAXPROCS 4 and 8 bit-identical to the one
+// GOMAXPROCS 1 produces, where every sweep runs serially.
 func TestExecPoolMatchesReference(t *testing.T) {
 	f := newFixture(t)
-	runWith := func(procs int, exec ExecConfig) *Result {
+	runWith := func(procs int) *Result {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		cfg := f.config(t, func(c *Config) {
 			c.Epochs = 2
 			c.EvalEvery = 3
 			c.TrackConvergence = true
-			c.Exec = exec
 		})
 		return run(t, cfg)
 	}
-	ref := runWith(1, ExecConfig{Reference: true})
-	for _, procs := range []int{1, 4, 8} {
-		got := runWith(procs, ExecConfig{})
-		if got.FinalAUC != ref.FinalAUC {
-			t.Errorf("GOMAXPROCS=%d: AUC %v, reference %v", procs, got.FinalAUC, ref.FinalAUC)
-		}
-		if got.TotalSimTime != ref.TotalSimTime {
-			t.Errorf("GOMAXPROCS=%d: sim time %v, reference %v", procs, got.TotalSimTime, ref.TotalSimTime)
-		}
-		if len(got.History) != len(ref.History) {
-			t.Fatalf("GOMAXPROCS=%d: %d eval points, reference %d", procs, len(got.History), len(ref.History))
-		}
-		for i := range ref.History {
-			if got.History[i] != ref.History[i] {
-				t.Errorf("GOMAXPROCS=%d: eval point %d = %+v, reference %+v",
-					procs, i, got.History[i], ref.History[i])
-			}
-		}
-		if len(got.StepNorms) != len(ref.StepNorms) {
-			t.Fatalf("GOMAXPROCS=%d: %d step norms, reference %d", procs, len(got.StepNorms), len(ref.StepNorms))
-		}
-		for i := range ref.StepNorms {
-			if got.StepNorms[i] != ref.StepNorms[i] {
-				t.Errorf("GOMAXPROCS=%d: step norm %d = %v, reference %v",
-					procs, i, got.StepNorms[i], ref.StepNorms[i])
-			}
-		}
-		if got.Breakdown.Bytes != ref.Breakdown.Bytes {
-			t.Errorf("GOMAXPROCS=%d: traffic bytes %+v, reference %+v",
-				procs, got.Breakdown.Bytes, ref.Breakdown.Bytes)
-		}
+	ref := runWith(1)
+	for _, procs := range []int{4, 8} {
+		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+		got := runWith(procs)
+		sameResult(t, label, got, ref)
 		for i := range ref.TrafficMatrix {
 			for j := range ref.TrafficMatrix[i] {
 				if got.TrafficMatrix[i][j] != ref.TrafficMatrix[i][j] {
-					t.Fatalf("GOMAXPROCS=%d: traffic[%d][%d] differs", procs, i, j)
+					t.Fatalf("%s: traffic[%d][%d] differs", label, i, j)
 				}
 			}
 		}
@@ -68,25 +42,18 @@ func TestExecPoolMatchesReference(t *testing.T) {
 }
 
 // TestExecPSModeMatchesReference covers the PS path (applyWorkerDense, host
-// queueing) under the pool and chunked dense apply.
+// queueing) under the pool and chunked dense apply: GOMAXPROCS 4 and 8
+// against GOMAXPROCS 1.
 func TestExecPSModeMatchesReference(t *testing.T) {
-	t.Parallel()
 	f := newFixture(t)
-	runWith := func(exec ExecConfig) *Result {
-		cfg := f.config(t, func(c *Config) {
-			c.PS = &PSConfig{Hosts: 2}
-			c.Exec = exec
-		})
-		return run(t, cfg)
+	runWith := func(procs int) *Result {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		return run(t, f.config(t, func(c *Config) { c.PS = &PSConfig{Hosts: 2} }))
 	}
-	ref := runWith(ExecConfig{Reference: true})
-	got := runWith(ExecConfig{})
-	if got.FinalAUC != ref.FinalAUC || got.TotalSimTime != ref.TotalSimTime {
-		t.Errorf("PS mode: AUC %v/%v, sim time %v/%v",
-			got.FinalAUC, ref.FinalAUC, got.TotalSimTime, ref.TotalSimTime)
-	}
-	if got.Breakdown.Bytes != ref.Breakdown.Bytes {
-		t.Errorf("PS mode: traffic bytes %+v, reference %+v", got.Breakdown.Bytes, ref.Breakdown.Bytes)
+	ref := runWith(1)
+	for _, procs := range []int{4, 8} {
+		sameResult(t, fmt.Sprintf("PS mode GOMAXPROCS=%d", procs), runWith(procs), ref)
 	}
 }
 

@@ -157,11 +157,11 @@ func TestQueueDelayScratchAllocationFree(t *testing.T) {
 	}
 	w := tr.workers[0]
 	w.startEpoch()
-	w.runIteration() // leaves a prepared batch in w.uniq / w.embBuf
+	w.runIteration() // leaves a prepared batch in w.prep / w.embBuf
 	if allocs := testing.AllocsPerRun(10, func() { tr.nicQueueDelay() }); allocs != 0 {
 		t.Errorf("nicQueueDelay allocates %v times per call, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { w.psRead(w.iterSamples) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { w.psRead() }); allocs != 0 {
 		t.Errorf("psRead allocates %v times per call, want 0", allocs)
 	}
 }

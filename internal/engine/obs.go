@@ -21,16 +21,6 @@ type engineMetrics struct {
 	// analyzer reads it exactly instead of estimating it from scaled spans.
 	overlapHidden *obs.Counter
 	overlapComm   *obs.Counter
-	// pipePrefetch/pipeStall/pipeBatches instrument ExecConfig.Pipeline:
-	// wall-clock nanoseconds of batch prep run ahead of its iteration, the
-	// wall-clock the consuming iteration still had to wait for it, and the
-	// number of prefetched batches. These are the only wall-clock metrics
-	// the engine emits — every obs.Phase span is simulated time, which the
-	// pipeline must not (and does not) move — and the only metrics a
-	// Pipeline toggle may change.
-	pipePrefetch *obs.Counter
-	pipeStall    *obs.Counter
-	pipeBatches  *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -38,9 +28,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		iterTime:      reg.Histogram("engine.iteration.sim_nanos", obs.TimeEdges()),
 		overlapHidden: reg.Counter("engine.overlap.hidden_sim_nanos"),
 		overlapComm:   reg.Counter("engine.overlap.serial_comm_sim_nanos"),
-		pipePrefetch:  reg.Counter("engine.pipeline.prefetch_wall_nanos"),
-		pipeStall:     reg.Counter("engine.pipeline.stall_wall_nanos"),
-		pipeBatches:   reg.Counter("engine.pipeline.batches"),
 	}
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		m.phase[p] = reg.Histogram("engine.phase."+p.String()+".sim_nanos", obs.TimeEdges())

@@ -5,13 +5,11 @@ import (
 	"sync"
 )
 
-// workerPool runs one long-lived goroutine per worker. The trainer's hot
-// loop previously spawned a fresh goroutine per worker per iteration
-// through a semaphore; the pool replaces each spawn with one channel send,
-// so the fan-out cost no longer grows with the iteration count. Worker
+// workerPool runs one long-lived goroutine per worker, so dispatching an
+// iteration costs one channel send rather than a goroutine spawn. Worker
 // goroutines only touch their own worker's state plus the table's
-// concurrent-phase API, which is the same sharing discipline the spawned
-// form had — determinism is unaffected.
+// concurrent-phase API — determinism is unaffected by which goroutine runs
+// which worker.
 type workerPool struct {
 	start   []chan struct{}
 	done    chan int
@@ -65,8 +63,8 @@ func (p *workerPool) wait() {
 	}
 }
 
-// stop terminates the pool goroutines. Idempotent per channel close rules:
-// callers invoke it exactly once (the trainer defers it in Run).
+// stop terminates the pool goroutines. It closes every start channel, so it
+// must be called exactly once; Run defers it.
 func (p *workerPool) stop() {
 	for _, c := range p.start {
 		close(c)
@@ -77,18 +75,6 @@ func (p *workerPool) stop() {
 // sweeps stay serial: goroutine hand-off costs more than it saves on the
 // small models the tests use.
 const denseChunkMin = 4096
-
-// execParallelism resolves the goroutine budget for the engine's chunked
-// sweeps: 1 in Reference mode, the configured cap, else GOMAXPROCS.
-func (t *Trainer) execParallelism() int {
-	if t.cfg.Exec.Reference {
-		return 1
-	}
-	if p := t.cfg.Exec.Parallelism; p > 0 {
-		return p
-	}
-	return maxParallelism()
-}
 
 // runChunks splits [0, n) into par contiguous chunks and runs fn on them
 // concurrently, re-raising the first chunk panic on the caller. fn must
@@ -124,6 +110,8 @@ func runChunks(n, par int, fn func(a, b int)) {
 	}
 }
 
+// maxParallelism is the goroutine budget of the compute pool and the
+// chunked dense sweeps: GOMAXPROCS.
 func maxParallelism() int {
 	p := runtime.GOMAXPROCS(0)
 	if p < 1 {

@@ -26,27 +26,13 @@ type worker struct {
 	// generation-stamped index keyed by feature id — uniqSlot[x] is x's slot
 	// in uniq iff uniqGen[x] equals the current batch's generation. Bumping
 	// uniqGen invalidates the whole index in O(1) and the lookups are two
-	// array reads with no hashing or allocation. The stamps also make the
-	// iteration pipeline safe: the prefetched batch preps under generation
-	// g+1 while the running iteration's indexes (generation g) are already
-	// frozen into its batchPrep, so two generations are in flight at once.
+	// array reads with no hashing or allocation.
 	uniqGen  []uint32
 	uniqSlot []int32
 	gen      uint32
 
-	// prep double-buffers the pure batch-preparation stage (see pipeline.go):
-	// the running iteration consumes prep[curPrep] while ExecConfig.Pipeline
-	// prefetches the next batch into the other buffer. prefetchWait joins an
-	// in-flight prefetch; nil when none is outstanding.
-	prep         [2]batchPrep
-	curPrep      int
-	prefetchWait func()
-
-	// uniq, labels and batchIdx alias the active batchPrep's buffers for the
-	// duration of one iteration.
-	uniq     []int32
-	labels   []float32
-	batchIdx []int32 // per (sample,field): index into uniq
+	// prep holds the current iteration's deduplicated batch (see batch.go).
+	prep batchPrep
 
 	embBuf  *tensor.Matrix // unique embeddings gathered by Read
 	gradBuf *tensor.Matrix // per-unique embedding gradients
@@ -135,13 +121,11 @@ func newWorker(id int, t *Trainer, samples []int32, rng *xrand.RNG) *worker {
 		gradBuf:  tensor.NewMatrix(b*fields, cfg.Dim),
 		input:    tensor.NewMatrix(b, fields*cfg.Dim),
 		dLogit:   make([]float32, b),
-	}
-	for i := range w.prep {
-		w.prep[i] = batchPrep{
+		prep: batchPrep{
 			uniq:     make([]int32, 0, b*fields),
 			batchIdx: make([]int32, b*fields),
 			labels:   make([]float32, b),
-		}
+		},
 	}
 	if cfg.PS != nil {
 		w.iterHostBytes = make([]int64, cfg.PS.Hosts)
@@ -158,10 +142,8 @@ func (w *worker) startEpoch() {
 	w.rng.Shuffle(len(w.order), func(i, j int) { w.order[i], w.order[j] = w.order[j], w.order[i] })
 }
 
-// hasWork reports whether any local samples remain this epoch. An in-flight
-// prefetch counts: its batch was already cut from the cursor, and skipping
-// it would drop those samples from the epoch.
-func (w *worker) hasWork() bool { return w.cursor < len(w.order) || w.prefetchWait != nil }
+// hasWork reports whether any local samples remain this epoch.
+func (w *worker) hasWork() bool { return w.cursor < len(w.order) }
 
 // resetIdle clears every per-iteration counter of a worker that runs no
 // batch this iteration. The NIC counters matter most: nicQueueDelay sums
@@ -182,18 +164,15 @@ func (w *worker) resetIdle() {
 	}
 }
 
-// runIteration processes one mini-batch: prep (dedup/labels, possibly
-// prefetched by the pipeline) → gather (Read) → forward → loss → backward →
-// scatter (Update), charging simulated time for each stage.
+// runIteration processes one mini-batch: prep (dedup/labels) → gather
+// (Read) → forward → loss → backward → scatter (Update), charging simulated
+// time for each stage.
 func (w *worker) runIteration() {
 	cfg := &w.t.cfg
-	p := w.takePrep()
-	w.uniq, w.labels, w.batchIdx = p.uniq, p.labels, p.batchIdx
+	w.prepBatch(w.nextBatch())
+	p := &w.prep
+	uniq, batchIdx := p.uniq, p.batchIdx
 	bs := p.bs
-	// As soon as the current prep is frozen, start preparing the next batch
-	// in the other buffer — it overlaps everything below, including the
-	// embedding Read, which itself must stay after the previous Commit.
-	w.kickPrefetch()
 	w.iterSamples = bs
 	w.iterNICOut, w.iterNICIn = 0, 0
 	w.resetIterStats()
@@ -206,9 +185,9 @@ func (w *worker) runIteration() {
 	// Gather embeddings under the consistency protocol.
 	var readComm float64
 	if cfg.PS != nil {
-		readComm = w.psRead(bs)
+		readComm = w.psRead()
 	} else {
-		stats := w.t.table.Read(w.id, w.uniq, w.embBuf, embed.ReadOptions{
+		stats := w.t.table.Read(w.id, uniq, w.embBuf, embed.ReadOptions{
 			Staleness:  cfg.Staleness,
 			InterCheck: cfg.InterCheck,
 			Normalize:  cfg.Normalize,
@@ -230,24 +209,24 @@ func (w *worker) runIteration() {
 	for r := 0; r < bs; r++ {
 		row := w.input.Row(r)
 		for f := 0; f < fields; f++ {
-			src := w.embBuf.Row(int(w.batchIdx[r*fields+f]))
+			src := w.embBuf.Row(int(batchIdx[r*fields+f]))
 			copy(row[f*dim:(f+1)*dim], src)
 		}
 	}
 
 	// Forward / loss / backward, through the batch-parallel wrapper.
 	logits := w.t.model.Forward(w.state, w.input, bs)
-	w.iterLoss = nn.BCEWithLogits(logits, w.labels[:bs], w.dLogit)
+	w.iterLoss = nn.BCEWithLogits(logits, p.labels[:bs], w.dLogit)
 	dInput := w.t.model.Backward(w.state, w.dLogit[:bs])
 	w.t.model.Grads(w.state, w.t.denseGrad[w.id])
 
 	// Scatter-add embedding gradients per unique feature.
-	gb := &tensor.Matrix{Rows: len(w.uniq), Cols: dim, Data: w.gradBuf.Data[:len(w.uniq)*dim]}
+	gb := &tensor.Matrix{Rows: len(uniq), Cols: dim, Data: w.gradBuf.Data[:len(uniq)*dim]}
 	gb.Zero()
 	for r := 0; r < bs; r++ {
 		drow := dInput.Row(r)
 		for f := 0; f < fields; f++ {
-			dst := gb.Row(int(w.batchIdx[r*fields+f]))
+			dst := gb.Row(int(batchIdx[r*fields+f]))
 			src := drow[f*dim : (f+1)*dim]
 			for i, v := range src {
 				dst[i] += v
@@ -260,7 +239,7 @@ func (w *worker) runIteration() {
 	if cfg.PS != nil {
 		updComm = w.psUpdate(gb)
 	} else {
-		ustats := w.t.table.Update(w.id, w.uniq, gb, cfg.Staleness)
+		ustats := w.t.table.Update(w.id, uniq, gb, cfg.Staleness)
 		w.iterLocalSecondary = int64(ustats.LocalSecondary)
 		w.iterRemotePush = int64(ustats.RemotePush)
 		w.iterFlushed = int64(ustats.FlushedPending)
@@ -275,7 +254,7 @@ func (w *worker) runIteration() {
 
 	// Simulated compute time: model FLOPs plus embedding gather/update,
 	// at the effective (not peak) GPU rate.
-	flops := float64(bs)*cfg.Model.FLOPsPerSample() + float64(len(w.uniq)*dim)*8
+	flops := float64(bs)*cfg.Model.FLOPsPerSample() + float64(len(uniq)*dim)*8
 	compute := flops / cfg.Topo.EffectiveFlops()
 	w.iterCompute = compute
 	// Overlap model: linear interpolation between serial (compute+comm)
@@ -332,11 +311,11 @@ const (
 // psRead models the parameter-server gather: every unique embedding is
 // fetched from its host shard over the CPU link. Values still come from
 // the table's primaries so learning remains real.
-func (w *worker) psRead(bs int) float64 {
+func (w *worker) psRead() float64 {
 	var dt float64
 	perHost := w.hostVecs
 	clear(perHost)
-	for i, x := range w.uniq {
+	for i, x := range w.prep.uniq {
 		copy(w.embBuf.Row(i), w.t.table.PrimaryRow(x))
 		perHost[w.t.psHome[x]]++
 	}
@@ -350,7 +329,6 @@ func (w *worker) psRead(bs int) float64 {
 		w.iterHostBytes[h] += int64(cnt) * (embed.BytesPerKey + vecBytes)
 		dt += psReadOverhead
 	}
-	_ = bs
 	return dt
 }
 
@@ -360,7 +338,7 @@ func (w *worker) psUpdate(gb *tensor.Matrix) float64 {
 	var dt float64
 	perHost := w.hostVecs
 	clear(perHost)
-	for i, x := range w.uniq {
+	for i, x := range w.prep.uniq {
 		perHost[w.t.psHome[x]]++
 		w.t.table.QueuePrimary(w.id, x, gb.Row(i))
 	}

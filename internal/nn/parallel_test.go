@@ -68,8 +68,8 @@ func samePass(t *testing.T, label string, got, want passResult) {
 
 // TestParallelSerialPoolBitIdentical pins the wrapper's core contract:
 // logits, input gradients and reduced weight gradients are a pure function
-// of the grid — identical bits with no pool (the Reference execution) and
-// with pools of any size, at batch sizes exercising one range, an exact
+// of the grid — identical bits with no pool (the serial walk) and with
+// pools of any size, at batch sizes exercising one range, an exact
 // multiple, and ragged tails.
 func TestParallelSerialPoolBitIdentical(t *testing.T) {
 	rr := DefaultRangeRows
@@ -198,26 +198,6 @@ func TestPoolRunPanicPropagates(t *testing.T) {
 			t.Fatalf("index %d ran %d times", i, h)
 		}
 	}
-}
-
-// TestPoolGoWaits pins Go's join-and-re-raise contract used by the engine's
-// iteration pipeline.
-func TestPoolGoWaits(t *testing.T) {
-	pool := NewPool(1)
-	defer pool.Close()
-	x := 0
-	wait := pool.Go(func() { x = 7 })
-	wait()
-	if x != 7 {
-		t.Fatalf("x = %d after wait", x)
-	}
-	waitPanic := pool.Go(func() { panic("late") })
-	defer func() {
-		if r := recover(); r != "late" {
-			t.Fatalf("recovered %v, want late", r)
-		}
-	}()
-	waitPanic()
 }
 
 // BenchmarkModelForwardBackwardParallel measures the batch-parallel dense

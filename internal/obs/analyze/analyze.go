@@ -126,26 +126,6 @@ type OverlapStat struct {
 	SerialCommSeconds float64 `json:"serial_comm_seconds"`
 }
 
-// PipelineStat summarizes the iteration pipeline's wall-clock accounting
-// (engine.pipeline.* counters): how much batch preparation ran ahead of its
-// iteration and how much of it the consuming iteration still had to wait
-// for. These are the engine's only wall-clock quantities — everything else
-// in the report is simulated time — so they live in their own block and are
-// omitted entirely for runs that never prefetched (ExecConfig.Pipeline off,
-// Reference, dist).
-type PipelineStat struct {
-	// Batches is the number of prefetched batches across all workers.
-	Batches int64 `json:"batches"`
-	// PrefetchSeconds is wall-clock batch-prep time run ahead of its
-	// iteration; StallSeconds the wall-clock the consuming iteration spent
-	// waiting for an unfinished prefetch.
-	PrefetchSeconds float64 `json:"prefetch_seconds"`
-	StallSeconds    float64 `json:"stall_seconds"`
-	// HiddenFraction = 1 − Stall/Prefetch ∈ [0,1]: the share of prefetch
-	// work whose latency the pipeline actually hid.
-	HiddenFraction float64 `json:"hidden_fraction"`
-}
-
 // StragglerStat reports busy-time skew across workers.
 type StragglerStat struct {
 	// MaxOverMean is the slowest worker's busy time over the mean busy
@@ -291,9 +271,6 @@ type RunReport struct {
 	Overlap    OverlapStat          `json:"overlap"`
 	Stragglers StragglerStat        `json:"stragglers"`
 	Traffic    TrafficStat          `json:"traffic"`
-	// Pipeline is present only for runs that prefetched batches
-	// (ExecConfig.Pipeline); additive and optional, so Schema is unchanged.
-	Pipeline *PipelineStat `json:"pipeline,omitempty"`
 	// Transport is present only for distributed runs: this rank's real
 	// wire ledger. Additive and optional, so Schema is unchanged.
 	Transport *TransportStat `json:"transport,omitempty"`
@@ -438,9 +415,6 @@ func Analyze(in Input) (*RunReport, error) {
 	// Overlap efficiency from the engine's exact counters.
 	rep.Overlap = overlapStat(in)
 
-	// Iteration-pipeline wall-clock accounting, when the run prefetched.
-	rep.Pipeline = pipelineStat(in)
-
 	// Straggler detection over busy time.
 	rep.Stragglers = stragglerStat(rep.Workers, in.StragglerThreshold)
 
@@ -497,33 +471,6 @@ func overlapStat(in Input) OverlapStat {
 		}
 		if st.Efficiency > 1 {
 			st.Efficiency = 1
-		}
-	}
-	return st
-}
-
-// pipelineStat derives the prefetch accounting from the engine.pipeline.*
-// counters; nil when the run never prefetched a batch, so the block drops
-// out of the JSON for non-pipelined runs.
-func pipelineStat(in Input) *PipelineStat {
-	batches, _ := in.Metrics.Get("engine.pipeline.batches")
-	if batches.Value <= 0 {
-		return nil
-	}
-	prefetch, _ := in.Metrics.Get("engine.pipeline.prefetch_wall_nanos")
-	stall, _ := in.Metrics.Get("engine.pipeline.stall_wall_nanos")
-	st := &PipelineStat{
-		Batches:         batches.Value,
-		PrefetchSeconds: float64(prefetch.Value) / 1e9,
-		StallSeconds:    float64(stall.Value) / 1e9,
-	}
-	if prefetch.Value > 0 {
-		st.HiddenFraction = 1 - float64(stall.Value)/float64(prefetch.Value)
-		if st.HiddenFraction < 0 {
-			st.HiddenFraction = 0
-		}
-		if st.HiddenFraction > 1 {
-			st.HiddenFraction = 1
 		}
 	}
 	return st

@@ -93,8 +93,8 @@ type ClusterReport struct {
 // histogram — one every rank derives from the global schedule and must
 // therefore agree on bit-for-bit. That is the engine.* and fabric.*
 // families, minus anything wall-clock: transport.* histograms measure real
-// time on one rank's sockets, *_wall_nanos metrics measure one rank's
-// pipeline, and table.* histograms instrument only the reads the rank
+// time on one rank's sockets, *_wall_nanos metrics measure one rank's wall
+// clock, and table.* histograms instrument only the reads the rank
 // executed for its own worker shard — all legitimately differ across ranks.
 func simQuantile(name string) bool {
 	if strings.Contains(name, "wall_nanos") {

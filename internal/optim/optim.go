@@ -29,11 +29,10 @@ type Dense interface {
 // Linearizable is an optional capability of Sparse rules: a rule is linear
 // when applying gradients g1 then g2 to a row lands (up to float rounding)
 // where applying g1+g2 once would, and the clock advance is the only other
-// observable effect. The embedding table's queue-side delta fusion consults
-// it — fusing duplicate per-feature deltas is only meaningful for linear
-// rules; stateful rules like AdaGrad renormalise each Apply by the running
-// accumulator, so fusing would change the trajectory, not just the rounding,
-// and they keep the sequential apply.
+// observable effect. Stateful rules like AdaGrad renormalise each Apply by
+// the running accumulator, so they are not linear. Nothing in the training
+// path consults it; it stays because benchmark/wrap.go's optimizer wrapper
+// forwards it and its tests check that a wrapped rule keeps or lacks it.
 type Linearizable interface {
 	// Linear reports whether Apply is linear in the gradient.
 	Linear() bool
@@ -82,7 +81,7 @@ func (s *SGD) Step(params, grad []float32) {
 }
 
 // Linear implements Linearizable: SGD keeps no per-feature state and its
-// update is a scaled subtraction, so queued deltas may be fused.
+// update is a scaled subtraction.
 func (s *SGD) Linear() bool { return true }
 
 // StepAt implements ChunkedDense; SGD keeps no positional state, so the

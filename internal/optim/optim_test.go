@@ -119,7 +119,7 @@ func TestIsLinear(t *testing.T) {
 		t.Error("SGD must declare linear apply")
 	}
 	if IsLinear(NewAdaGrad(0.1, 2, 3)) {
-		t.Error("AdaGrad must not declare linear apply: its accumulator makes fused and sequential applies diverge")
+		t.Error("AdaGrad must not declare linear apply: its accumulator makes summed and sequential applies diverge")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package perfbench is the reproducible performance-baseline harness for
-// the partitioner and the training engine. It times the strictly sequential
+// the partitioner. It times the strictly sequential
 // reference greedy against the parallel chunked-delta implementation on
 // synthetic graphs of growing scale — via testing.Benchmark, so ns/op and
 // allocs/op come from the standard benchmark machinery rather than ad-hoc
