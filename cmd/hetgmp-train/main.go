@@ -13,10 +13,11 @@
 //
 // Systems: tf-ps, parallax, hugectr, het-mp, het-gmp.
 //
-// -tier-hot enables tiered embedding storage (hot clock-LFU cache + packed
-// warm arena + mmap cold spill). Values below 1 are fractions of the feature
-// count, values ≥1 absolute rows; -mem-budget sizes the hot cache from a byte
-// budget instead. Tiering never changes the result: clocks, convergence and
+// -tier-hot enables tiered embedding storage: rows ranked by access
+// frequency, the most accessed in the hot tier, the least accessed
+// (-tier-cold) in mmap spill files, the rest warm. Values below 1 are
+// fractions of the feature count, values ≥1 absolute rows; -mem-budget
+// sizes the heap-resident rows from a byte budget instead. Tiering never changes the result: clocks, convergence and
 // checkpoints are bit-identical to the flat store.
 //
 // -transport=tcp runs one worker per OS process, shared-nothing, over real
@@ -87,10 +88,10 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		seed      = flag.Uint64("seed", 22, "random seed")
-		tierHot   = flag.Float64("tier-hot", 0, "hot-cache budget for tiered embedding storage: a value <1 is a fraction of the feature count, ≥1 an absolute row count; 0 keeps the flat store")
-		tierCold  = flag.Float64("tier-cold", 0, "rows spilled to the mmap cold tier (same fraction-or-rows convention as -tier-hot); requires -tier-hot")
+		tierHot   = flag.Float64("tier-hot", 0, "hot-tier size for tiered embedding storage, the most accessed rows: a value <1 is a fraction of the feature count, ≥1 an absolute row count; 0 keeps the flat store")
+		tierCold  = flag.Float64("tier-cold", 0, "least accessed rows spilled to the mmap cold tier (same fraction-or-rows convention as -tier-hot); requires -tier-hot")
 		tierDir   = flag.String("tier-cold-dir", "", "directory for cold-tier spill files (default: a private temp dir removed on exit)")
-		memBudget = flag.Int64("mem-budget", 0, "embedding-value memory budget in bytes: sizes the hot cache to fit (overrides -tier-hot) and spills the remainder cold")
+		memBudget = flag.Int64("mem-budget", 0, "embedding-value memory budget in bytes: sizes the hot tier to fit (overrides -tier-hot) and spills the remainder cold")
 		transport = flag.String("transport", "sim", "execution backend: 'sim' runs all workers in this process; 'tcp' runs one worker per process over real sockets (requires -rank and -peers)")
 		rank      = flag.Int("rank", 0, "this process's rank for -transport=tcp")
 		peers     = flag.String("peers", "", "comma-separated host:port listen addresses, one per rank, for -transport=tcp (overrides -gpus: one GPU per peer)")
@@ -290,7 +291,6 @@ func main() {
 		sum.AddRow("tiers: cold bytes", report.FormatBytes(ts.ColdBytes))
 		sum.AddRow("tiers: read hit rate", report.Percent(ts.ReadHitRate()))
 		sum.AddRow("tiers: commit hit rate", report.Percent(ts.CommitHitRate()))
-		sum.AddRow("tiers: promotions/demotions", fmt.Sprintf("%d/%d", ts.Promotions, ts.Demotions))
 	}
 	fmt.Println(sum.String())
 
@@ -407,9 +407,11 @@ func peakRSS() int64 {
 // tierConfig resolves the tier flags against the dataset's feature count.
 // hot and cold follow the fraction-or-rows convention (<1: fraction of
 // features; ≥1: absolute rows), and a positive value always means at least
-// one row, so a tiny fraction cannot silently train flat. A memory budget
-// overrides hot: the cache is sized to fit budget bytes of rows (at least
-// one), and every row the budget cannot hold beyond the hot set spills cold.
+// one row, so a tiny fraction cannot silently train flat. Hot is capped at
+// the table and cold at the rows hot leaves. A memory budget overrides hot:
+// the hot tier is sized to fit budget bytes of rows (at least one), and
+// every row beyond it spills cold, so the heap holds exactly the budget's
+// rows.
 func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) embed.TierConfig {
 	rows := func(v float64) int {
 		if v <= 0 {
@@ -420,24 +422,14 @@ func tierConfig(hot, cold float64, budget int64, dir string, features, dim int) 
 		}
 		return int(v)
 	}
-	cfg := embed.TierConfig{HotRows: rows(hot), ColdRows: rows(cold), ColdDir: dir}
+	cfg := embed.TierConfig{HotRows: min(rows(hot), features), ColdRows: rows(cold), ColdDir: dir}
 	if budget > 0 {
-		rowBytes := int64(dim) * 4
-		h := int(budget / rowBytes)
-		if h < 1 {
-			h = 1
-		}
-		if h > features {
-			h = features
-		}
-		cfg.HotRows = h
+		cfg.HotRows = int(min(max(budget/(int64(dim)*4), 1), int64(features)))
 		if cfg.ColdRows == 0 {
-			cfg.ColdRows = features - h
+			cfg.ColdRows = features - cfg.HotRows
 		}
 	}
-	if cfg.ColdRows > features-cfg.HotRows {
-		cfg.ColdRows = features - cfg.HotRows
-	}
+	cfg.ColdRows = min(cfg.ColdRows, features-cfg.HotRows)
 	return cfg
 }
 

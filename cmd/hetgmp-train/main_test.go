@@ -25,6 +25,7 @@ func TestTierConfig(t *testing.T) {
 		{name: "budget below one row", budget: 1, want: embed.TierConfig{HotRows: 1, ColdRows: 999}},
 		{name: "budget above the table", budget: 1 << 30, want: embed.TierConfig{HotRows: 1000}},
 		{name: "cold clamped to the rows hot leaves", hot: 600, cold: 0.9, want: embed.TierConfig{HotRows: 600, ColdRows: 400}},
+		{name: "hot clamped to the table", hot: 5000, cold: 10, want: embed.TierConfig{HotRows: 1000}},
 		{name: "tiny fraction keeps one row", hot: 1e-4, cold: 1e-4, want: embed.TierConfig{HotRows: 1, ColdRows: 1}},
 	}
 	for _, c := range cases {
@@ -34,6 +35,14 @@ func TestTierConfig(t *testing.T) {
 		}
 		if got.Enabled() != (c.hot > 0 || c.budget > 0) {
 			t.Errorf("%s: Enabled() = %v", c.name, got.Enabled())
+		}
+		if got.HotRows+got.ColdRows > features {
+			t.Errorf("%s: HotRows+ColdRows = %d exceeds %d features", c.name, got.HotRows+got.ColdRows, features)
+		}
+		// Under a budget with no explicit cold, the heap holds exactly the
+		// budget's rows: every other row spills.
+		if c.budget > 0 && c.cold == 0 && got.HotRows+got.ColdRows != features {
+			t.Errorf("%s: budget leaves %d warm rows on the heap", c.name, features-got.HotRows-got.ColdRows)
 		}
 	}
 	if got := tierConfig(0.1, 0, 0, "spill", features, dim); got.ColdDir != "spill" {

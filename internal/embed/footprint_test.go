@@ -112,13 +112,13 @@ func TestFootprintDeterministic(t *testing.T) {
 }
 
 // TestTieredFootprintAccountsAllStructures is the Σ-children bugfix gate:
-// the tiered store's arenas, cache index, spill mappings and touch logs
-// must all be accounted so the tree still validates (every interior node
-// the sum of its children — analyze.VerifyCapacity's invariant) and the
-// tier leaves agree with the TierStats ledger.
+// the tiered store's heap rows and spill mappings must all be accounted so
+// the tree still validates (every interior node the sum of its children —
+// analyze.VerifyCapacity's invariant) and the tier leaves agree with the
+// TierStats ledger.
 func TestTieredFootprintAccountsAllStructures(t *testing.T) {
 	tbl := tierFixture(t, testTiers())
-	driveCommitWorkload(tbl, 2) // grow the touch logs past capacity zero
+	driveCommitWorkload(tbl, 2)
 	fp := tbl.Footprint()
 	if err := fp.Validate(); err != nil {
 		t.Fatalf("tiered footprint invalid: %v", err)
@@ -141,13 +141,13 @@ func TestTieredFootprintAccountsAllStructures(t *testing.T) {
 	if got := get("table.primary.cold"); got != ts.ColdBytes {
 		t.Fatalf("cold node %d bytes, ledger says %d", got, ts.ColdBytes)
 	}
-	if get("table.primary.touch_logs") == 0 {
-		t.Fatal("touch logs unaccounted after a driven workload")
+	// The hot and warm tiers hold exactly their rows; the cold mapping
+	// holds its rows plus one header per shard.
+	if want := int64(ts.HotRows) * int64(tbl.Dim()) * 4; get("table.primary.hot") != want {
+		t.Fatalf("hot tier %d bytes, want %d", get("table.primary.hot"), want)
 	}
-	// The warm arena packs exactly the warm rows; the cold mapping holds
-	// its rows plus one header per shard.
 	if want := int64(ts.WarmRows) * int64(tbl.Dim()) * 4; get("table.primary.warm") != want {
-		t.Fatalf("warm arena %d bytes, want %d", get("table.primary.warm"), want)
+		t.Fatalf("warm tier %d bytes, want %d", get("table.primary.warm"), want)
 	}
 	shards := (ts.ColdRows + 99) / 100 // testTiers uses 100-row shards
 	if want := int64(ts.ColdRows)*int64(tbl.Dim())*4 + int64(shards)*rowShardHeader; get("table.primary.cold") != want {

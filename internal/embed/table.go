@@ -131,7 +131,8 @@ type Table struct {
 
 	// freqRank holds each feature's access frequency and its rank in the
 	// static (frequency descending, id ascending) order the normalised
-	// inter-embedding check sweeps in. Nil when Config.Freq is.
+	// inter-embedding check sweeps in and the tiered store lays rows out
+	// in. Nil when Config.Freq is.
 	freqRank []freqRank
 
 	// check enforces runtime invariants when non-nil.
@@ -328,8 +329,6 @@ func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
 		g("table.tier.commit_hot", float64(ts.CommitHot))
 		g("table.tier.commit_warm", float64(ts.CommitWarm))
 		g("table.tier.commit_cold", float64(ts.CommitCold))
-		g("table.tier.promotions", float64(ts.Promotions))
-		g("table.tier.demotions", float64(ts.Demotions))
 		g("table.tier.read_hit_rate", ts.ReadHitRate())
 	})
 	return m
@@ -370,8 +369,11 @@ func NewTable(cfg Config) (*Table, error) {
 		primaryClock: make([]int64, cfg.NumFeatures),
 		check:        cfg.Check,
 	}
+	if cfg.Freq != nil {
+		t.freqRank = buildFreqRanks(cfg.Freq)
+	}
 	if cfg.Tiers.Enabled() {
-		store, err := newTieredStore(cfg.Tiers, cfg.NumFeatures, cfg.Dim, cfg.Assign.N)
+		store, err := newTieredStore(cfg.Tiers, t.freqRank, cfg.NumFeatures, cfg.Dim, cfg.Assign.N)
 		if err != nil {
 			return nil, err
 		}
@@ -387,9 +389,6 @@ func NewTable(cfg Config) (*Table, error) {
 		for j := range row {
 			row[j] = (2*rng.Float32() - 1) * cfg.InitScale
 		}
-	}
-	if cfg.Freq != nil {
-		t.freqRank = buildFreqRanks(cfg.Freq)
 	}
 	t.shards = make([]*shard, t.n)
 	for w := 0; w < t.n; w++ {
@@ -424,8 +423,7 @@ func (t *Table) Workers() int { return t.n }
 
 // PrimaryRow exposes the authoritative value of feature x. Evaluation code
 // (AUC over the test set) reads through it; training code must use Read.
-// The access is untracked: it never moves tier state, so it is safe from
-// any phase.
+// The access is uncounted, so it is safe from any phase.
 func (t *Table) PrimaryRow(x int32) []float32 { return t.store.rowView(x) }
 
 // TierStats returns the tiered store's access ledger, nil when the table
@@ -973,10 +971,6 @@ func (t *Table) finishCommit() {
 			t.stepNormShard[o] = 0
 		}
 	}
-	// Tier maintenance runs here, single-threaded: the window's read and
-	// commit touch logs fold in fixed worker-then-owner order, so cache
-	// promotions and clock evictions are identical at any parallelism.
-	t.store.maintain()
 	if t.check != nil {
 		t.VerifyCommitted()
 	}

@@ -8,37 +8,39 @@ import (
 )
 
 // Tiered row storage (the HET cache claim made executable): the primary
-// table's rows live behind one row-access interface in three tiers — a hot
-// clock-LFU cache over the Zipf head, a packed warm arena, and file-backed
-// cold spill shards — instead of one flat matrix. The values are the same
-// float32 bits wherever a row lives, and all tier movement happens at
-// commit boundaries, so a tiered run is bit-identical to the flat table at
-// any GOMAXPROCS.
+// table's rows live behind one row-access interface in three tiers instead
+// of one flat matrix. Rows are stored in access-rank order — feature x at
+// position rank(x), its place in the static (frequency descending, id
+// ascending) order NewTable computes from Config.Freq, or x itself when Freq
+// is nil — and each tier is one range of positions:
+//
+//	hot   [0, HotRows)                         heap
+//	warm  [HotRows, NumFeatures−ColdRows)      heap, the same slice
+//	cold  [NumFeatures−ColdRows, NumFeatures)  file-backed spill shards
+//
+// This is the paper's static placement of the Zipf head by access count:
+// the hottest rows share a few contiguous pages, and no row is ever stored
+// twice.
 //
 // # Determinism
 //
-// Reads run concurrently across workers and commit sweeps concurrently
-// across owners, so neither may mutate shared cache state. Tier membership
-// is therefore frozen during both concurrent phases: accesses serve a row
-// from wherever it currently lives and only log the touch, bucketed by
-// worker (reads) or owner (commits). maintain() — called single-threaded
-// from finishCommit — folds the logs in fixed order (workers ascending,
-// then owners ascending) and applies promotions and clock evictions there.
-// Each worker's and owner's own touch sequence is already deterministic
-// under the engine's two-phase discipline, so the cache reaches the same
-// state at any parallelism; the clock hand is the only tie-break and it
-// never consults a map iteration or the wall clock.
+// Determinism holds by construction: tier membership is fixed by NewTable
+// and never changes, so an access only locates its row and bumps the
+// serving tier's counter on the caller's stripe (worker for reads, owner
+// for commits). A row holds the same float32 values wherever it lives, so
+// a tiered run is bit-identical to the flat table at any GOMAXPROCS.
 
 // TierConfig selects the Table's row-storage implementation. The zero
 // value keeps the flat matrix.
 type TierConfig struct {
-	// HotRows is the hot tier's capacity in rows. 0 disables tiering.
-	// Sized explicitly, or from a run's own read-coverage curve via
-	// RecommendHotRows (hetgmp-obs capacity).
+	// HotRows is how many of the most frequently accessed features form
+	// the hot tier. 0 disables tiering. Sized explicitly, or from a run's
+	// own read-coverage curve via RecommendHotRows (hetgmp-obs capacity).
 	HotRows int
-	// ColdRows is how many of the highest feature ids spill to the
-	// file-backed cold tier; the remaining NumFeatures−ColdRows rows pack
-	// into the warm arena.
+	// ColdRows is how many of the least frequently accessed features spill
+	// to the file-backed cold tier; the remaining
+	// NumFeatures−HotRows−ColdRows rows form the warm tier. HotRows+ColdRows
+	// must not exceed NumFeatures.
 	ColdRows int
 	// ColdDir is where cold spill shards live. Empty means a fresh temp
 	// directory, removed by Table.Close.
@@ -51,8 +53,7 @@ type TierConfig struct {
 func (c TierConfig) Enabled() bool { return c.HotRows > 0 }
 
 // TierStats is the tiered store's access ledger: per-tier row and byte
-// sizing, hit counters by access path, and the maintenance pass's
-// promotion/demotion totals. Nil on a flat table.
+// sizing and hit counters by access path. Nil on a flat table.
 type TierStats struct {
 	HotRows  int `json:"hot_rows"`
 	WarmRows int `json:"warm_rows"`
@@ -71,6 +72,9 @@ type TierStats struct {
 	CommitWarm int64 `json:"commit_warm"`
 	CommitCold int64 `json:"commit_cold"`
 
+	// Promotions and Demotions are always 0: tier membership is static.
+	// They remain only because the benchmark's per-layer ledger reads
+	// them; a change to that ledger may drop them.
 	Promotions int64 `json:"promotions"`
 	Demotions  int64 `json:"demotions"`
 }
@@ -94,18 +98,15 @@ func (s *TierStats) CommitHitRate() float64 {
 }
 
 // rowStore is the row-access interface the Table's storage sits behind.
-// rowRead and rowCommit serve during the two concurrent phases and must
-// not mutate shared tier state (they log touches on the caller's stripe);
-// rowView is the untracked access for single-threaded sections (init,
-// checkpoint, resync, evaluation, diagnostics) and for the read phase's
-// side lookups that were already counted.
+// rowRead and rowCommit serve during the two concurrent phases and count
+// the access on the caller's stripe; rowView is the untracked access for
+// single-threaded sections (init, checkpoint, resync, evaluation,
+// diagnostics) and for the read phase's side lookups that were already
+// counted.
 type rowStore interface {
 	rowRead(w int, x int32) []float32
 	rowCommit(o int, x int32) []float32
 	rowView(x int32) []float32
-	// maintain folds the touch logs and applies promotions/evictions; the
-	// Table calls it single-threaded at every commit boundary.
-	maintain()
 	// stats returns the tier ledger, nil for the flat store.
 	stats() *TierStats
 	// footprint returns this store's children of the footprint tree's
@@ -125,7 +126,6 @@ func newFlatStore(rows, dim int) *flatStore { return &flatStore{m: tensor.NewMat
 func (s *flatStore) rowRead(w int, x int32) []float32   { return s.m.Row(int(x)) }
 func (s *flatStore) rowCommit(o int, x int32) []float32 { return s.m.Row(int(x)) }
 func (s *flatStore) rowView(x int32) []float32          { return s.m.Row(int(x)) }
-func (s *flatStore) maintain()                          {}
 func (s *flatStore) stats() *TierStats                  { return nil }
 func (s *flatStore) close() error                       { return nil }
 
@@ -133,86 +133,53 @@ func (s *flatStore) footprint() []memacct.Footprint {
 	return []memacct.Footprint{memacct.Leaf("values", int64(len(s.m.Data))*4)}
 }
 
-// hotRefMax saturates the clock-LFU reference counters: a slot survives at
-// most hotRefMax hand passes without a fresh touch.
-const hotRefMax = 3
-
 // defaultColdShardRows is the cold tier's rows-per-shard-file default.
 const defaultColdShardRows = 8192
 
-// tierStripe is one worker's (or owner's) private lane of tier accounting:
-// the touch log the maintenance pass folds and the per-tier serve counters.
-// Padded so concurrent lanes never share a cache line.
+// tierStripe is one worker's (or owner's) private lane of per-tier serve
+// counters, padded so concurrent lanes never share a cache line.
 type tierStripe struct {
-	touches         []int32
 	hot, warm, cold int64
-	_               [16]byte
+	_               [40]byte
 }
 
-// tieredStore implements rowStore as hot cache + warm arena + cold spill.
+// tieredStore implements rowStore as rank-ordered hot/warm heap rows over
+// cold spill shards.
 type tieredStore struct {
 	dim      int
 	rows     int
-	warmRows int // features [0, warmRows) are warm-backed; the rest cold
+	hotRows  int
+	heapRows int // positions [0, heapRows) are heap-backed; the rest cold
 
-	// Warm tier: rows packed into contiguous per-shard arenas — an
-	// index→offset computation, no per-row slice headers.
-	warmShardRows int
-	warm          [][]float32
-
+	// rank is the Table's frequency ranking, shared: feature x lives at
+	// position rank[x].rank. Nil means position x.
+	rank []freqRank
+	heap []float32  // hot then warm rows, position-major
 	cold *coldStore // nil when ColdRows is 0
-
-	// Hot tier: clock-LFU cache. slotOf is an array, not a map, so the
-	// maintenance pass never depends on map iteration order.
-	hotVals []float32
-	hotFeat []int32 // slot → feature, −1 empty
-	hotRef  []uint8 // clock reference counters
-	slotOf  []int32 // feature → slot, −1 not cached
-	hand    int
 
 	readStripes   []tierStripe // by worker
 	commitStripes []tierStripe // by owner
-
-	promotions int64
-	demotions  int64
 }
 
-func newTieredStore(cfg TierConfig, rows, dim, workers int) (*tieredStore, error) {
-	if cfg.ColdRows < 0 || cfg.ColdRows > rows {
-		return nil, fmt.Errorf("embed: TierConfig.ColdRows %d outside [0, %d]", cfg.ColdRows, rows)
-	}
-	hot := cfg.HotRows
-	if hot > rows {
-		hot = rows
+func newTieredStore(cfg TierConfig, rank []freqRank, rows, dim, workers int) (*tieredStore, error) {
+	if cfg.HotRows < 0 || cfg.ColdRows < 0 || cfg.ColdRows > rows || cfg.HotRows > rows-cfg.ColdRows {
+		return nil, fmt.Errorf("embed: TierConfig HotRows %d + ColdRows %d must be non-negative and fit %d features",
+			cfg.HotRows, cfg.ColdRows, rows)
 	}
 	perShard := cfg.ColdShardRows
 	if perShard <= 0 {
 		perShard = defaultColdShardRows
 	}
+	heapRows := rows - cfg.ColdRows
 	s := &tieredStore{
 		dim:           dim,
 		rows:          rows,
-		warmRows:      rows - cfg.ColdRows,
-		warmShardRows: perShard,
-		hotVals:       make([]float32, hot*dim),
-		hotFeat:       make([]int32, hot),
-		hotRef:        make([]uint8, hot),
-		slotOf:        make([]int32, rows),
+		hotRows:       cfg.HotRows,
+		heapRows:      heapRows,
+		rank:          rank,
+		heap:          make([]float32, heapRows*dim),
 		readStripes:   make([]tierStripe, workers),
 		commitStripes: make([]tierStripe, workers),
-	}
-	for i := range s.hotFeat {
-		s.hotFeat[i] = -1
-	}
-	for i := range s.slotOf {
-		s.slotOf[i] = -1
-	}
-	for off := 0; off < s.warmRows; off += perShard {
-		r := perShard
-		if rem := s.warmRows - off; rem < r {
-			r = rem
-		}
-		s.warm = append(s.warm, make([]float32, r*dim))
 	}
 	if cfg.ColdRows > 0 {
 		cold, err := newColdStore(cfg.ColdDir, cfg.ColdRows, dim, perShard)
@@ -224,34 +191,35 @@ func newTieredStore(cfg TierConfig, rows, dim, workers int) (*tieredStore, error
 	return s, nil
 }
 
-// backingRow returns x's warm- or cold-tier storage, bypassing the cache.
-func (s *tieredStore) backingRow(x int32) []float32 {
-	i := int(x)
-	if i >= s.warmRows {
-		return s.cold.row(i - s.warmRows)
+// pos returns feature x's storage position.
+func (s *tieredStore) pos(x int32) int {
+	if s.rank == nil {
+		return int(x)
 	}
-	sh, off := i/s.warmShardRows, (i%s.warmShardRows)*s.dim
-	return s.warm[sh][off : off+s.dim : off+s.dim]
+	return int(s.rank[x].rank)
 }
 
-func (s *tieredStore) hotRow(slot int) []float32 {
-	off := slot * s.dim
-	return s.hotVals[off : off+s.dim : off+s.dim]
+// row returns the storage at position p.
+func (s *tieredStore) row(p int) []float32 {
+	if p >= s.heapRows {
+		return s.cold.row(p - s.heapRows)
+	}
+	off := p * s.dim
+	return s.heap[off : off+s.dim : off+s.dim]
 }
 
-// serve locates x and bumps the stripe's per-tier counter and touch log.
+// serve locates x and bumps the stripe's counter for the tier holding it.
 func (s *tieredStore) serve(st *tierStripe, x int32) []float32 {
-	st.touches = append(st.touches, x)
-	if slot := s.slotOf[x]; slot >= 0 {
+	p := s.pos(x)
+	switch {
+	case p < s.hotRows:
 		st.hot++
-		return s.hotRow(int(slot))
-	}
-	if int(x) < s.warmRows {
+	case p < s.heapRows:
 		st.warm++
-	} else {
+	default:
 		st.cold++
 	}
-	return s.backingRow(x)
+	return s.row(p)
 }
 
 func (s *tieredStore) rowRead(w int, x int32) []float32 {
@@ -262,89 +230,11 @@ func (s *tieredStore) rowCommit(o int, x int32) []float32 {
 	return s.serve(&s.commitStripes[o], x)
 }
 
-func (s *tieredStore) rowView(x int32) []float32 {
-	if slot := s.slotOf[x]; slot >= 0 {
-		return s.hotRow(int(slot))
-	}
-	return s.backingRow(x)
-}
+func (s *tieredStore) rowView(x int32) []float32 { return s.row(s.pos(x)) }
 
-// maintain folds the window's touch logs in fixed order and applies the
-// clock-LFU policy: a touched cached row gains a reference; a touched
-// uncached row is promoted into the slot the clock hand frees, demoting
-// (writing back) the evicted occupant. Runs single-threaded.
-func (s *tieredStore) maintain() {
-	for w := range s.readStripes {
-		st := &s.readStripes[w]
-		for _, x := range st.touches {
-			s.touch(x)
-		}
-		st.touches = st.touches[:0]
-	}
-	for o := range s.commitStripes {
-		st := &s.commitStripes[o]
-		for _, x := range st.touches {
-			s.touch(x)
-		}
-		st.touches = st.touches[:0]
-	}
-}
+func (s *tieredStore) hotBytes() int64 { return int64(s.hotRows*s.dim) * 4 }
 
-func (s *tieredStore) touch(x int32) {
-	if len(s.hotFeat) == 0 {
-		return
-	}
-	if slot := s.slotOf[x]; slot >= 0 {
-		if s.hotRef[slot] < hotRefMax {
-			s.hotRef[slot]++
-		}
-		return
-	}
-	slot := s.evictSlot()
-	if victim := s.hotFeat[slot]; victim >= 0 {
-		copy(s.backingRow(victim), s.hotRow(slot))
-		s.slotOf[victim] = -1
-		s.demotions++
-	}
-	copy(s.hotRow(slot), s.backingRow(x))
-	s.hotFeat[slot] = x
-	s.slotOf[x] = int32(slot)
-	s.hotRef[slot] = 1
-	s.promotions++
-}
-
-// evictSlot advances the clock hand until it finds an empty slot or one
-// whose references have decayed to zero. Bounded: every pass decrements, so
-// at most hotRefMax+1 sweeps.
-func (s *tieredStore) evictSlot() int {
-	for {
-		slot := s.hand
-		s.hand++
-		if s.hand == len(s.hotFeat) {
-			s.hand = 0
-		}
-		if s.hotFeat[slot] < 0 || s.hotRef[slot] == 0 {
-			return slot
-		}
-		s.hotRef[slot]--
-	}
-}
-
-func (s *tieredStore) hotBytes() int64 {
-	return int64(len(s.hotVals))*4 + s.indexBytes()
-}
-
-func (s *tieredStore) indexBytes() int64 {
-	return int64(len(s.hotFeat))*4 + int64(len(s.hotRef)) + int64(len(s.slotOf))*4
-}
-
-func (s *tieredStore) warmBytes() int64 {
-	var n int64
-	for _, a := range s.warm {
-		n += int64(len(a)) * 4
-	}
-	return n
-}
+func (s *tieredStore) warmBytes() int64 { return int64(len(s.heap))*4 - s.hotBytes() }
 
 func (s *tieredStore) coldBytes() int64 {
 	if s.cold == nil {
@@ -355,14 +245,12 @@ func (s *tieredStore) coldBytes() int64 {
 
 func (s *tieredStore) stats() *TierStats {
 	ts := &TierStats{
-		HotRows:    len(s.hotFeat),
-		WarmRows:   s.warmRows,
-		ColdRows:   s.rows - s.warmRows,
-		HotBytes:   s.hotBytes(),
-		WarmBytes:  s.warmBytes(),
-		ColdBytes:  s.coldBytes(),
-		Promotions: s.promotions,
-		Demotions:  s.demotions,
+		HotRows:   s.hotRows,
+		WarmRows:  s.heapRows - s.hotRows,
+		ColdRows:  s.rows - s.heapRows,
+		HotBytes:  s.hotBytes(),
+		WarmBytes: s.warmBytes(),
+		ColdBytes: s.coldBytes(),
 	}
 	for i := range s.readStripes {
 		ts.ReadHot += s.readStripes[i].hot
@@ -375,23 +263,13 @@ func (s *tieredStore) stats() *TierStats {
 	return ts
 }
 
+// footprint reports the three tiers; the rank array is the Table's own
+// (counted under its scratch leaf).
 func (s *tieredStore) footprint() []memacct.Footprint {
-	var logs int64
-	for i := range s.readStripes {
-		logs += int64(cap(s.readStripes[i].touches))*4 + int64(cap(s.commitStripes[i].touches))*4
-	}
 	return []memacct.Footprint{
-		memacct.Node("hot",
-			memacct.Leaf("values", int64(len(s.hotVals))*4),
-			memacct.Leaf("index", s.indexBytes()),
-		),
-		memacct.Node("warm",
-			memacct.Leaf("arena", s.warmBytes()),
-		),
-		memacct.Node("cold",
-			memacct.Leaf("mapped", s.coldBytes()),
-		),
-		memacct.Leaf("touch_logs", logs),
+		memacct.Leaf("hot", s.hotBytes()),
+		memacct.Leaf("warm", s.warmBytes()),
+		memacct.Leaf("cold", s.coldBytes()),
 	}
 }
 

@@ -277,8 +277,7 @@ type Result struct {
 	Report *analyze.RunReport
 
 	// TierStats is the tiered store's access ledger (nil for flat storage):
-	// resident rows and bytes per tier, read/commit hits by tier, and
-	// promotion/demotion totals.
+	// resident rows and bytes per tier and read/commit hits by tier.
 	TierStats *embed.TierStats
 }
 

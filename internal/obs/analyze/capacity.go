@@ -43,9 +43,10 @@ type CapacityStat struct {
 
 	// Tiers is the tiered embedding store's access ledger (nil for flat
 	// storage): resident rows/bytes per tier, read and commit hits by tier,
-	// and promotion/demotion totals. VerifyCapacity cross-checks its byte
-	// columns against the footprint tree's table.primary.{hot,warm,cold}
-	// nodes, so a tampered ledger cannot pass the capacity gate.
+	// and promotion/demotion totals (0 under static tiers). VerifyCapacity
+	// cross-checks its byte columns against the footprint tree's
+	// table.primary.{hot,warm,cold} nodes, so a tampered ledger cannot pass
+	// the capacity gate.
 	Tiers *TierStat `json:"tiers,omitempty"`
 }
 
@@ -240,8 +241,9 @@ func VerifyCapacity(c *CapacityStat) error {
 // verifyTiers checks the tier ledger against itself and against the
 // footprint tree: every counter non-negative, demotions cannot exceed
 // promotions (a row must be promoted before it can be evicted), promotions
-// cannot exceed the cache misses that trigger them, and the ledger's byte
-// columns must equal the measured table.primary.{hot,warm,cold} nodes — a
+// cannot exceed the misses that trigger them (both hold trivially for
+// static tiers, whose totals are 0), and the ledger's byte columns must
+// equal the measured table.primary.{hot,warm,cold} nodes — a
 // hand-edited tiers block fails here even if it is internally plausible.
 func verifyTiers(ts *TierStat, fp memacct.Footprint) error {
 	for _, c := range []struct {

@@ -140,9 +140,9 @@ func (c *CapacityStat) String() string {
 		tt.AddRow("warm", ts.WarmRows, report.FormatBytes(ts.WarmBytes), ts.ReadWarm, ts.CommitWarm)
 		tt.AddRow("cold", ts.ColdRows, report.FormatBytes(ts.ColdBytes), ts.ReadCold, ts.CommitCold)
 		if reads := ts.ReadHot + ts.ReadWarm + ts.ReadCold; reads > 0 {
-			tt.AddNote("read hit rate: %.1f%% served from the hot cache", 100*float64(ts.ReadHot)/float64(reads))
+			tt.AddNote("read hit rate: %.1f%% served from the hot tier", 100*float64(ts.ReadHot)/float64(reads))
 		}
-		tt.AddNote("%d promotions, %d demotions (clock-LFU, deterministic)", ts.Promotions, ts.Demotions)
+		tt.AddNote("tier membership static, ranked by access frequency")
 		b.WriteString(tt.String())
 	}
 	return b.String()

@@ -98,9 +98,9 @@ type Options struct {
 	// is bit-identical to a single-process run of the same Options.
 	Dist *engine.DistConfig
 
-	// Tiers selects the embedding table's storage layout (hot clock-LFU
-	// cache + packed warm arena + cold spill). Result-invariant: a tiered
-	// run is bit-identical to a flat one.
+	// Tiers selects the embedding table's storage layout (hot and warm
+	// heap rows + cold spill, placed by access rank). Result-invariant: a
+	// tiered run is bit-identical to a flat one.
 	Tiers embed.TierConfig
 }
 
