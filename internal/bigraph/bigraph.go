@@ -16,7 +16,8 @@ import (
 	"hetgmp/internal/dataset"
 )
 
-// Bigraph is the sample–embedding bipartite graph in CSR form on both sides.
+// Bigraph is the sample–embedding bipartite graph: the sample side in CSR
+// form, the embedding side as a degree vector.
 type Bigraph struct {
 	NumSamples  int
 	NumFeatures int
@@ -25,10 +26,6 @@ type Bigraph struct {
 	// Samples→features: sample i uses SampleFeatures(i).
 	sampleOff []int64
 	sampleAdj []int32
-
-	// Features→samples: feature x is used by FeatureSamples(x).
-	featOff []int64
-	featAdj []int32
 
 	// Degree[x] is the number of (sample, x) edges, i.e. the access
 	// frequency p_x of embedding x.
@@ -59,32 +56,12 @@ func FromDataset(d *dataset.Dataset) *Bigraph {
 		}
 	}
 	g.sampleOff[g.NumSamples] = int64(len(g.sampleAdj))
-
-	// Counting sort into the feature-side CSR.
-	g.featOff = make([]int64, g.NumFeatures+1)
-	for f := 0; f < g.NumFeatures; f++ {
-		g.featOff[f+1] = g.featOff[f] + int64(g.Degree[f])
-	}
-	g.featAdj = make([]int32, edges)
-	cursor := make([]int64, g.NumFeatures)
-	copy(cursor, g.featOff[:g.NumFeatures])
-	for i := 0; i < g.NumSamples; i++ {
-		for _, f := range g.SampleFeatures(i) {
-			g.featAdj[cursor[f]] = int32(i)
-			cursor[f]++
-		}
-	}
 	return g
 }
 
 // SampleFeatures returns the feature IDs used by sample i.
 func (g *Bigraph) SampleFeatures(i int) []int32 {
 	return g.sampleAdj[g.sampleOff[i]:g.sampleOff[i+1]]
-}
-
-// FeatureSamples returns the sample indices that use feature x.
-func (g *Bigraph) FeatureSamples(x int32) []int32 {
-	return g.featAdj[g.featOff[x]:g.featOff[x+1]]
 }
 
 // NumEdges returns the total number of (sample, feature) edges.

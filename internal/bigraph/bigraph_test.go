@@ -1,6 +1,7 @@
 package bigraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,15 +40,37 @@ func TestFromDatasetStructure(t *testing.T) {
 			t.Errorf("degree(%d) = %d, want %d", x, g.Degree[x], want)
 		}
 	}
-	// Feature 0 is used by samples 0, 1, 3.
-	got := g.FeatureSamples(0)
-	want := map[int32]bool{0: true, 1: true, 3: true}
-	if len(got) != 3 {
-		t.Fatalf("FeatureSamples(0) = %v", got)
+	for s, want := range [][]int32{{0, 2}, {0, 3}, {1, 2}, {0, 4}} {
+		if got := g.SampleFeatures(s); !slices.Equal(got, want) {
+			t.Errorf("SampleFeatures(%d) = %v, want %v", s, got, want)
+		}
 	}
-	for _, s := range got {
-		if !want[s] {
-			t.Errorf("unexpected sample %d for feature 0", s)
+	checkDegrees(t, g)
+}
+
+// checkDegrees holds Degree to the sample side: it sums to the edge count,
+// and a per-feature recount from SampleFeatures equals it.
+func checkDegrees(t *testing.T, g *Bigraph) {
+	t.Helper()
+	if len(g.Degree) != g.NumFeatures {
+		t.Fatalf("%d degrees for %d features", len(g.Degree), g.NumFeatures)
+	}
+	var sum int64
+	for _, d := range g.Degree {
+		sum += int64(d)
+	}
+	if sum != g.NumEdges() {
+		t.Fatalf("degrees sum to %d, %d edges", sum, g.NumEdges())
+	}
+	recount := make([]int32, g.NumFeatures)
+	for s := 0; s < g.NumSamples; s++ {
+		for _, x := range g.SampleFeatures(s) {
+			recount[x]++
+		}
+	}
+	for x, want := range recount {
+		if g.Degree[x] != want {
+			t.Fatalf("degree(%d) = %d, recount from samples %d", x, g.Degree[x], want)
 		}
 	}
 }
@@ -58,29 +81,19 @@ func TestAdjacencyInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := FromDataset(ds)
-	// Every (sample, feature) edge must appear in both directions.
-	for s := 0; s < g.NumSamples; s++ {
-		for _, x := range g.SampleFeatures(s) {
-			found := false
-			for _, s2 := range g.FeatureSamples(x) {
-				if int(s2) == s {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("edge (%d, %d) missing from feature side", s, x)
-			}
+	// The sample side is the dataset's rows, in order.
+	var edges int64
+	for s := range ds.Samples {
+		got, want := g.SampleFeatures(s), ds.Samples[s].Features
+		if !slices.Equal(got, want) {
+			t.Fatalf("sample %d: features %v, dataset has %v", s, got, want)
 		}
+		edges += int64(len(want))
 	}
-	// Edge counts must agree.
-	var fromFeatures int64
-	for x := int32(0); int(x) < g.NumFeatures; x++ {
-		fromFeatures += int64(len(g.FeatureSamples(x)))
+	if edges != g.NumEdges() {
+		t.Fatalf("dataset has %d edges, bigraph %d", edges, g.NumEdges())
 	}
-	if fromFeatures != g.NumEdges() {
-		t.Fatalf("feature-side edges %d, sample-side %d", fromFeatures, g.NumEdges())
-	}
+	checkDegrees(t, g)
 }
 
 func TestDegreeStats(t *testing.T) {

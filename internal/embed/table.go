@@ -41,6 +41,7 @@ import (
 	"hetgmp/internal/obs/memacct"
 	"hetgmp/internal/optim"
 	"hetgmp/internal/partition"
+	"hetgmp/internal/radix"
 	"hetgmp/internal/tensor"
 	"hetgmp/internal/xrand"
 )
@@ -175,7 +176,7 @@ type shard struct {
 	// scratch reused by Read/Update. rowOf[i] is the secondary row Read
 	// resolved feats[i] to, or -1 when the primary clock speaks for it (local
 	// primary or remote miss); rankKeys is the inter-embedding check's two
-	// sort buffers, one per half (see sortRankKeys).
+	// sort buffers, one per half (see radix.SortRankKeys).
 	perOwner []OwnerTraffic
 	rowOf    []int32
 	rankKeys []uint64
@@ -602,7 +603,7 @@ func (t *Table) verifyReadBound(w int, sh *shard, feats, rowOf []int32, s int64)
 // exactly. The visiting order (frequency descending, feature id ascending)
 // is a property of the table, not of the read set, so NewTable ranks every
 // feature in it once (buildFreqRanks) and a Read only radix-sorts its
-// members' ranks (sortRankKeys). Pairs where the *stale* element is the
+// members' ranks (radix.SortRankKeys). Pairs where the *stale* element is the
 // more frequent one have gap p_partner·Δr ≤ s almost always (the partner's
 // whole clock c_partner must exceed s); those replicas remain bounded by
 // the intra-embedding check against their own primaries.
@@ -647,7 +648,7 @@ func (t *Table) interCheck(w int, sh *shard, feats, rowOf []int32, dst *tensor.M
 	for i, x := range feats {
 		keys[i] = uint64(t.freqRank[x].rank)<<32 | uint64(i)
 	}
-	keys = sortRankKeys(keys, sh.rankKeys[m:2*m], uint32(len(t.freqRank)-1))
+	keys = radix.SortRankKeys(keys, sh.rankKeys[m:2*m], uint32(len(t.freqRank)-1))
 	prefixMax := math.Inf(-1)
 	for _, k := range keys {
 		i := int(uint32(k))

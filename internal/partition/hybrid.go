@@ -3,12 +3,12 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"hetgmp/internal/bigraph"
 	"hetgmp/internal/invariant"
 	"hetgmp/internal/obs"
+	"hetgmp/internal/radix"
 	"hetgmp/internal/xrand"
 )
 
@@ -51,9 +51,12 @@ type HybridConfig struct {
 	// against live balance state (see hybrid_parallel.go).
 	Parallelism int
 	// DeltaBlock is the number of vertices whose δc vectors are
-	// precomputed per scoring wave — a streaming-granularity / memory
-	// knob (block × Partitions float64s) with no effect on the output.
-	// 0 picks a size proportional to the vertex set.
+	// precomputed per scoring wave — a streaming-granularity / memory knob
+	// with no effect on the output. A pass holds two blocks, one being
+	// scored while the reducer walks the other: 2 × block × Partitions
+	// float64s of δc, plus 2 × block × (longest sample's feature count)
+	// bytes of edge homes in the sample pass. 0 picks a size proportional
+	// to the vertex set.
 	DeltaBlock int
 	// Reference selects the strictly sequential one-vertex-at-a-time
 	// greedy (the pre-parallel implementation): every vertex scores
@@ -174,6 +177,11 @@ func Hybrid(g *bigraph.Bigraph, cfg HybridConfig) (*HybridResult, error) {
 		comm:        make([]float64, n),
 		secondaries: make([][]int32, n),
 		check:       invariant.Auto(cfg.CheckInvariants),
+		homeOf:      make([]uint8, g.NumFeatures),
+		prices:      flatPrices(n, cfg.Weights),
+	}
+	for s := 0; s < g.NumSamples; s++ {
+		st.maxLen = max(st.maxLen, len(g.SampleFeatures(s)))
 	}
 	for _, p := range a.SampleOf {
 		st.nSamp[p]++
@@ -187,11 +195,7 @@ func Hybrid(g *bigraph.Bigraph, cfg HybridConfig) (*HybridResult, error) {
 	// descending degree so the heaviest vertices choose their homes first.
 	rng := xrand.New(cfg.Seed ^ 0x1d1d1d1d1d1d1d1d)
 	sampleOrder := rng.Perm32(g.NumSamples)
-	featOrder := make([]int32, g.NumFeatures)
-	for i := range featOrder {
-		featOrder[i] = int32(i)
-	}
-	sortFeatByDegree(featOrder, g.Degree)
+	featOrder := sortFeatByDegree(g.Degree)
 
 	res := &HybridResult{Assignment: a}
 	for t := 0; t < cfg.Rounds; t++ {
@@ -261,16 +265,25 @@ func emitHybridMetrics(reg *obs.Registry, res *HybridResult) {
 	}
 }
 
-// sortFeatByDegree orders feature ids by descending degree, id ascending on
-// ties — the canonical embedding visit order of both implementations.
-func sortFeatByDegree(order []int32, degree []int32) {
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := degree[order[i]], degree[order[j]]
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
+// sortFeatByDegree returns the feature ids ordered by descending degree, id
+// ascending on ties — the canonical embedding visit order of both
+// implementations. It radix-sorts (max degree − degree, id) keys: counting
+// passes only, and transient memory of 16 bytes per feature whatever the
+// degrees are.
+func sortFeatByDegree(degree []int32) []int32 {
+	var maxDeg int32
+	for _, d := range degree {
+		maxDeg = max(maxDeg, d)
+	}
+	keys := make([]uint64, len(degree))
+	for x, d := range degree {
+		keys[x] = uint64(maxDeg-d)<<32 | uint64(x)
+	}
+	order := make([]int32, len(degree))
+	for i, k := range radix.SortRankKeys(keys, make([]uint64, len(keys)), uint32(maxDeg)) {
+		order[i] = int32(uint32(k))
+	}
+	return order
 }
 
 type hybridState struct {
@@ -295,21 +308,36 @@ type hybridState struct {
 	sampleMoves  int64
 	featureMoves int64
 
-	// Per-block δc staging the parallel scoring waves fill (see
+	// homeOf is the sample pass's byte-wide snapshot of PrimaryOf, which
+	// that pass never changes (MaxPartitions is 64); maxLen is the longest
+	// sample's feature count, the stride of the per-block edge homes (see
 	// hybrid_parallel.go).
-	costBlock  []float64
-	worstBlock []float64
+	homeOf []uint8
+	maxLen int
+	prices []float64 // see flatPrices
+}
+
+// flatPrices returns the price of every (from, to) pair row-major: 0 on the
+// diagonal, and off it weights[from][to], or 1 when weights is nil.
+func flatPrices(n int, weights [][]float64) []float64 {
+	p := make([]float64, n*n)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			switch {
+			case from == to:
+			case weights == nil:
+				p[from*n+to] = 1
+			default:
+				p[from*n+to] = weights[from][to]
+			}
+		}
+	}
+	return p
 }
 
 // weight prices a fetch of an embedding primary on from by a sample on to.
 func (st *hybridState) weight(from, to int) float64 {
-	if from == to {
-		return 0
-	}
-	if st.cfg.Weights == nil {
-		return 1
-	}
-	return st.cfg.Weights[from][to]
+	return st.prices[from*st.a.N+to]
 }
 
 // recomputeComm rebuilds the per-partition communication totals δc(Gi):
@@ -360,10 +388,11 @@ func (st *hybridState) slack() float64 {
 }
 
 // moveSample relocates sample s and incrementally maintains the count table
-// and the per-partition communication totals (and their sum).
-func (st *hybridState) moveSample(s int, from, to int) {
-	for _, x := range st.g.SampleFeatures(s) {
-		home := st.a.PrimaryOf[x]
+// and the per-partition communication totals (and their sum). homes[k] is
+// the primary home of the sample's k-th feature.
+func (st *hybridState) moveSample(s int, from, to int, homes []uint8) {
+	for _, h := range homes {
+		home := int(h)
 		if home != from {
 			w := st.weight(home, from)
 			st.comm[home] -= w

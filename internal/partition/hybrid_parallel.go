@@ -31,12 +31,16 @@ import (
 // any GOMAXPROCS, Parallelism or DeltaBlock setting — while the expensive δc
 // arithmetic runs on all cores.
 //
-// The passes stream the visit order in DeltaBlock-sized windows through a
-// small scratch matrix so the δc staging area stays cache-resident instead
-// of scaling with the vertex set. (A cross-round memoisation of the δc
-// vectors with per-vertex dirty tracking was prototyped and rejected: under
-// the power-law degree skew a handful of hot-embedding moves per round
-// dirties >90% of samples, so the cache never pays for its footprint.)
+// The passes stream the visit order in DeltaBlock-sized blocks through two
+// small buffers, so the δc staging area stays cache-resident instead of
+// scaling with the vertex set, and the stages overlap: the scoring
+// goroutines fill block k+1 into one buffer while the reducer walks block k
+// in the other. That is race-free for the reason the chunking is — the
+// scorers read only state the pass's reducer never writes. (A cross-round
+// memoisation of the δc vectors with per-vertex dirty tracking was
+// prototyped and rejected: under the power-law degree skew a handful of
+// hot-embedding moves per round dirties >90% of samples, so the cache never
+// pays for its footprint.)
 
 const (
 	minDeltaBlock = 1024
@@ -49,20 +53,15 @@ const (
 
 // deltaBlock returns the effective block size for a visit order of n
 // vertices: the configured size, or ~1/16th of the vertex set clamped to
-// [minDeltaBlock, maxDeltaBlock]. Purely a streaming-granularity /
-// footprint knob — the assignment does not depend on it.
+// [minDeltaBlock, maxDeltaBlock], and never more than n. Purely a
+// streaming-granularity / footprint knob — the assignment does not depend
+// on it.
 func (st *hybridState) deltaBlock(n int) int {
-	if b := st.cfg.DeltaBlock; b > 0 {
-		return b
+	b := st.cfg.DeltaBlock
+	if b == 0 {
+		b = min(max(n/16, minDeltaBlock), maxDeltaBlock)
 	}
-	b := n / 16
-	if b < minDeltaBlock {
-		b = minDeltaBlock
-	}
-	if b > maxDeltaBlock {
-		b = maxDeltaBlock
-	}
-	return b
+	return min(b, n)
 }
 
 // parWorkers returns the scoring goroutine count.
@@ -87,49 +86,55 @@ func (st *hybridState) newScratch() *scoreScratch {
 	}
 }
 
-// scoreRange evaluates fn(scratch, k) for every k in [0, total), fanning the
-// work across the configured goroutines in scoreChunk-sized slices. fn must
-// write only its own vertex's slots.
-func (st *hybridState) scoreRange(total int, fn func(sc *scoreScratch, k int)) {
-	workers := st.parWorkers()
-	if workers > 1 && total >= 2*scoreChunk {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := st.newScratch()
-				for {
-					lo := int(next.Add(1)-1) * scoreChunk
-					if lo >= total {
-						return
-					}
-					hi := min(lo+scoreChunk, total)
-					for k := lo; k < hi; k++ {
-						fn(sc, k)
-					}
+// scoreRange starts fn(scratch, k) for every k in [lo, hi) on up to the
+// configured number of goroutines, in scoreChunk-sized slices, and returns
+// at once; wg.Wait returns when all of them are done. fn must write only its
+// own vertex's slots.
+func (st *hybridState) scoreRange(wg *sync.WaitGroup, lo, hi int, fn func(sc *scoreScratch, k int)) {
+	chunks := (hi - lo + scoreChunk - 1) / scoreChunk
+	next := new(atomic.Int64)
+	for w := min(st.parWorkers(), chunks); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := st.newScratch()
+			for {
+				a := lo + int(next.Add(1)-1)*scoreChunk
+				if a >= hi {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
-	sc := st.newScratch()
-	for k := 0; k < total; k++ {
-		fn(sc, k)
+				for k := a; k < min(a+scoreChunk, hi); k++ {
+					fn(sc, k)
+				}
+			}
+		}()
 	}
 }
 
-// blockBuffers sizes the per-block δc matrix (block × N) and worst-case
-// normaliser vector.
-func (st *hybridState) blockBuffers(block int) {
-	n := st.a.N
-	if cap(st.costBlock) < block*n {
-		st.costBlock = make([]float64, block*n)
+// pipeline walks a visit order of total vertices in blocks of block as a
+// two-stage pipeline over two buffers. score(sc, buf, lo, k) fills buffer
+// buf's slot for vertex k of the block starting at lo, on the scoring
+// goroutines; reduce(buf, lo, hi) walks block [lo, hi) of buffer buf on the
+// caller's goroutine. While reduce walks block b, block b+1 is scored into
+// the other buffer, so score may read only state that reduce never writes.
+func (st *hybridState) pipeline(total, block int, score func(sc *scoreScratch, buf, lo, k int), reduce func(buf, lo, hi int)) {
+	var scoring sync.WaitGroup
+	start := func(buf, lo int) {
+		st.scoreRange(&scoring, lo, min(lo+block, total), func(sc *scoreScratch, k int) {
+			score(sc, buf, lo, k)
+		})
 	}
-	if cap(st.worstBlock) < block {
-		st.worstBlock = make([]float64, block)
+	if total > 0 {
+		start(0, 0)
+	}
+	for lo, buf := 0, 0; lo < total; lo, buf = lo+block, buf^1 {
+		// Block lo is fully scored, and nothing writes either buffer until
+		// the next start.
+		scoring.Wait()
+		if lo+block < total {
+			start(buf^1, lo+block)
+		}
+		reduce(buf, lo, min(lo+block, total))
 	}
 }
 
@@ -148,32 +153,46 @@ func (st *hybridState) rowMaxWeights() []float64 {
 	return rm
 }
 
-// chunkedPassSamples is the parallel sample-vertex half of the 1D pass.
+// chunkedPassSamples is the parallel sample-vertex half of the 1D pass. The
+// scorers read primaries from homeOf, a byte-wide snapshot taken here (the
+// sample pass never moves a primary), and hand each edge's home to the
+// reducer so moveSample need not look it up again.
 func (st *hybridState) chunkedPassSamples(order []int32) {
 	n := st.a.N
 	avgSamp := float64(st.g.NumSamples) / float64(n)
 	capSamp := int(avgSamp*(1+st.slack())) + 1
 	rowMax := st.rowMaxWeights()
-	block := st.deltaBlock(len(order))
-	st.blockBuffers(block)
-	for lo := 0; lo < len(order); lo += block {
-		hi := min(lo+block, len(order))
-		costs := st.costBlock
-		worsts := st.worstBlock
-		st.scoreRange(hi-lo, func(sc *scoreScratch, k int) {
-			worsts[k] = st.sampleCosts(sc, int(order[lo+k]), costs[k*n:(k+1)*n], rowMax)
-		})
-		for k := lo; k < hi; k++ {
-			st.reduceSample(int(order[k]), costs[(k-lo)*n:(k-lo+1)*n], worsts[k-lo], avgSamp, capSamp)
-		}
+	for x, p := range st.a.PrimaryOf {
+		st.homeOf[x] = uint8(p)
 	}
+	block := st.deltaBlock(len(order))
+	maxLen := st.maxLen
+	var costs, worsts [2][]float64
+	var homes [2][]uint8
+	for b := range costs {
+		costs[b] = make([]float64, block*n)
+		worsts[b] = make([]float64, block)
+		homes[b] = make([]uint8, block*maxLen)
+	}
+	st.pipeline(len(order), block,
+		func(sc *scoreScratch, buf, lo, k int) {
+			i := k - lo
+			worsts[buf][i] = st.sampleCosts(sc, int(order[k]), costs[buf][i*n:(i+1)*n], homes[buf][i*maxLen:(i+1)*maxLen], rowMax)
+		},
+		func(buf, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				i := k - lo
+				st.reduceSample(int(order[k]), costs[buf][i*n:(i+1)*n], worsts[buf][i], homes[buf][i*maxLen:(i+1)*maxLen], avgSamp, capSamp)
+			}
+		})
 }
 
 // reduceSample is the sequential greedy decision for one sample: the O(N)
 // argmin over δc + δb against fully live balance state, applying the move on
-// acceptance. Count-table writes are safe here because sample scoring reads
-// only embedding primaries, never the table.
-func (st *hybridState) reduceSample(s int, cost []float64, worst, avgSamp float64, capSamp int) {
+// acceptance with the edge homes the scorer recorded. Count-table writes are
+// safe here because sample scoring reads only embedding primaries, never the
+// table.
+func (st *hybridState) reduceSample(s int, cost []float64, worst float64, homes []uint8, avgSamp float64, capSamp int) {
 	n := st.a.N
 	cur := st.a.SampleOf[s]
 	avgComm := st.commAvg()
@@ -198,24 +217,26 @@ func (st *hybridState) reduceSample(s int, cost []float64, worst, avgSamp float6
 		}
 	}
 	if best >= 0 && best != cur {
-		st.moveSample(s, cur, best)
+		st.moveSample(s, cur, best, homes[:len(st.g.SampleFeatures(s))])
 	}
 }
 
 // sampleCosts fills cost[i] = δc(s→i) for every candidate partition and
-// returns the worst-case normaliser. δc is accumulated per current feature
-// home — one O(L) tally plus an O(N) combine instead of the O(L·N)
-// candidate rescan — and depends only on embedding primaries, which are
-// frozen for the whole sample pass.
-func (st *hybridState) sampleCosts(sc *scoreScratch, s int, cost []float64, rowMax []float64) float64 {
+// homes[k] with the primary home of the sample's k-th feature, and returns
+// the worst-case normaliser. δc is accumulated per current feature home —
+// one O(L) tally plus an O(N) combine instead of the O(L·N) candidate
+// rescan — and depends only on embedding primaries, which are frozen for
+// the whole sample pass.
+func (st *hybridState) sampleCosts(sc *scoreScratch, s int, cost []float64, homes []uint8, rowMax []float64) float64 {
 	n := st.a.N
 	feats := st.g.SampleFeatures(s)
 	for _, h := range sc.touched {
 		sc.homeCnt[h] = 0
 	}
 	sc.touched = sc.touched[:0]
-	for _, x := range feats {
-		h := st.a.PrimaryOf[x]
+	for k, x := range feats {
+		h := st.homeOf[x]
+		homes[k] = h
 		if sc.homeCnt[h] == 0 {
 			sc.touched = append(sc.touched, int32(h))
 		}
@@ -237,8 +258,8 @@ func (st *hybridState) sampleCosts(sc *scoreScratch, s int, cost []float64, rowM
 		}
 		for _, h := range sc.touched {
 			cnt := float64(sc.homeCnt[h])
-			for i := 0; i < n; i++ {
-				cost[i] += cnt * st.weight(int(h), i)
+			for i, w := range st.prices[int(h)*n : int(h)*n+n] {
+				cost[i] += cnt * w
 			}
 			worst += cnt * rowMax[h]
 		}
@@ -251,7 +272,7 @@ func (st *hybridState) sampleCosts(sc *scoreScratch, s int, cost []float64, rowM
 
 // chunkedPassFeatures is the parallel embedding-vertex half of the 1D pass.
 // The count table is constant here (only sample moves change it), so block
-// scoring reads rows lock-free.
+// scoring reads rows lock-free while the reducer moves primaries.
 func (st *hybridState) chunkedPassFeatures(order []int32) {
 	n := st.a.N
 	avgFeat := float64(st.g.NumFeatures) / float64(n)
@@ -265,17 +286,21 @@ func (st *hybridState) chunkedPassFeatures(order []int32) {
 		}
 	}
 	block := st.deltaBlock(len(order))
-	st.blockBuffers(block)
-	for lo := 0; lo < len(order); lo += block {
-		hi := min(lo+block, len(order))
-		costs := st.costBlock
-		st.scoreRange(hi-lo, func(sc *scoreScratch, k int) {
-			st.featureCosts(order[lo+k], costs[k*n:(k+1)*n])
-		})
-		for k := lo; k < hi; k++ {
-			st.reduceFeature(order[k], costs[(k-lo)*n:(k-lo+1)*n], wmax, avgFeat, capFeat)
-		}
+	var costs [2][]float64
+	for b := range costs {
+		costs[b] = make([]float64, block*n)
 	}
+	st.pipeline(len(order), block,
+		func(_ *scoreScratch, buf, lo, k int) {
+			i := k - lo
+			st.featureCosts(order[k], costs[buf][i*n:(i+1)*n])
+		},
+		func(buf, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				i := k - lo
+				st.reduceFeature(order[k], costs[buf][i*n:(i+1)*n], wmax, avgFeat, capFeat)
+			}
+		})
 }
 
 // reduceFeature is the sequential greedy decision for one embedding primary,

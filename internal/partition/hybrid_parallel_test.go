@@ -1,10 +1,14 @@
 package partition
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"runtime"
 	"testing"
 
 	"hetgmp/internal/bigraph"
+	"hetgmp/internal/cluster"
 	"hetgmp/internal/dataset"
 )
 
@@ -64,7 +68,9 @@ func TestHybridParallelDeterminism(t *testing.T) {
 		assignmentsEqual(t, "Parallelism", ref.Assignment, got.Assignment)
 	}
 
-	for _, block := range []int{64, 1000, 1 << 20} {
+	// Blocks of 1 and 7 make nearly every vertex a hand-off between the
+	// scoring goroutines and the reducer.
+	for _, block := range []int{1, 7, 64, 1000, 1 << 20} {
 		cfg := base()
 		cfg.DeltaBlock = block
 		got, err := Hybrid(g, cfg)
@@ -72,6 +78,99 @@ func TestHybridParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		assignmentsEqual(t, "DeltaBlock", ref.Assignment, got.Assignment)
+	}
+
+	// Degenerate graphs: nothing to score, and a single sample.
+	for _, tc := range []struct {
+		name     string
+		features int
+		samples  []dataset.Sample
+	}{
+		{"empty", 0, nil},
+		{"one-sample", 5, []dataset.Sample{{Features: []int32{0, 3}, Label: 1}}},
+	} {
+		small := bigraph.FromDataset(&dataset.Dataset{
+			Name: tc.name, NumFields: 2, NumFeatures: tc.features, Samples: tc.samples,
+		})
+		want, err := Hybrid(small, base())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Assignment.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, block := range []int{1, 7} {
+			for _, workers := range []int{1, 4} {
+				cfg := base()
+				cfg.DeltaBlock, cfg.Parallelism = block, workers
+				got, err := Hybrid(small, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assignmentsEqual(t, tc.name, want.Assignment, got.Assignment)
+			}
+		}
+	}
+}
+
+// assignmentHash is a SHA-256 over every sample home, every primary home and
+// every replica set, in vertex order.
+func assignmentHash(a *Assignment) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, p := range a.SampleOf {
+		put(uint64(p))
+	}
+	for _, p := range a.PrimaryOf {
+		put(uint64(p))
+	}
+	for _, r := range a.replicas {
+		put(uint64(r))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHybridAssignmentPinned pins the assignment bytes the partitioner
+// produces, so a faster pass that changes one decision fails here. The
+// 16-partition cluster-B weights have non-integer entries, so a reordered
+// floating-point update of the communication totals would show too.
+func TestHybridAssignmentPinned(t *testing.T) {
+	scaleOut, err := cluster.ScaleOut(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		preset  string
+		parts   int
+		weights [][]float64
+		want    string
+	}{
+		{"uniform", dataset.Avazu, 8, nil,
+			"c89e4ee4853b5123bbce0697c6c3b57494f893113a215598ec87309ffef004ee"},
+		{"scaleout8-hierarchical", dataset.Avazu, 8, scaleOut.WeightMatrix(cluster.WeightHierarchical),
+			"4bba35fdcaf16341b69c973fba3e9e516ab07bc7a7b9534f6bf3813be40e7cf5"},
+		{"clusterB2-hierarchical", dataset.Criteo, 16, cluster.ClusterB(2).WeightMatrix(cluster.WeightHierarchical),
+			"a0fad365707f44bbd7ec62ab61aadb19b2d192e97cb2c5637641d3dbab8dfc21"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testDataset(t, tc.preset, 2e-4)
+			cfg := DefaultHybridConfig(tc.parts)
+			cfg.Rounds = 3
+			cfg.BalanceSlack = 0.05
+			cfg.Weights = tc.weights
+			res, err := Hybrid(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := assignmentHash(res.Assignment); got != tc.want {
+				t.Errorf("assignment SHA-256 %s, pinned %s", got, tc.want)
+			}
+		})
 	}
 }
 

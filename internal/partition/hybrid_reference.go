@@ -20,6 +20,7 @@ func (st *hybridState) refPassSamples(order []int32) {
 	avgSamp := float64(st.g.NumSamples) / float64(n)
 	capSamp := int(avgSamp*(1+st.slack())) + 1
 	costs := make([]float64, n)
+	homes := make([]uint8, 0, st.maxLen)
 	for _, s32 := range order {
 		s := int(s32)
 		cur := st.a.SampleOf[s]
@@ -71,7 +72,11 @@ func (st *hybridState) refPassSamples(order []int32) {
 			}
 		}
 		if best >= 0 && best != cur {
-			st.moveSample(s, cur, best)
+			homes = homes[:0]
+			for _, x := range feats {
+				homes = append(homes, uint8(st.a.PrimaryOf[x]))
+			}
+			st.moveSample(s, cur, best, homes)
 		}
 	}
 }

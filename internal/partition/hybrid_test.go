@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"hetgmp/internal/bigraph"
 	"hetgmp/internal/dataset"
+	"hetgmp/internal/xrand"
 )
 
 func TestHybridConfigValidate(t *testing.T) {
@@ -312,6 +315,58 @@ func BenchmarkBiCut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BiCut(g, BiCutConfig{Partitions: 8, BalanceSlack: 0.05, Seed: 1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// sortFeatByDegreeOracle is the comparison sort the degree order used before
+// it became a radix sort, kept verbatim.
+func sortFeatByDegreeOracle(order []int32, degree []int32) {
+	sort.Slice(order, func(i, j int) bool {
+		di, dj := degree[order[i]], degree[order[j]]
+		if di != dj {
+			return di > dj
+		}
+		return order[i] < order[j]
+	})
+}
+
+// TestSortFeatByDegreeMatchesComparator holds the radix degree order to the
+// comparator's on both sides of the 11-bit digit boundaries, with ties,
+// uniform degrees and degrees that need three digits.
+func TestSortFeatByDegreeMatchesComparator(t *testing.T) {
+	t.Parallel()
+	r := xrand.New(29)
+	gens := []struct {
+		name string
+		gen  func(x int) int32
+	}{
+		{"all-zero", func(int) int32 { return 0 }},
+		{"all-equal", func(int) int32 { return 7 }},
+		{"ties", func(int) int32 { return int32(r.Intn(5)) }},
+		{"two-digit", func(int) int32 { return int32(r.Intn(1 << 16)) }},
+		{"zipf-like", func(x int) int32 { return int32(1e6 / (x + 1)) }},
+		{"three-digit", func(x int) int32 {
+			if x%3 == 0 {
+				return 1<<31 - 1 - int32(r.Intn(3)) // forces the third digit
+			}
+			return int32(r.Intn(1 << 23))
+		}},
+	}
+	for _, n := range []int{0, 1, 2, 2047, 2048, 5000} {
+		for _, g := range gens {
+			degree := make([]int32, n)
+			for x := range degree {
+				degree[x] = g.gen(x)
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			sortFeatByDegreeOracle(want, degree)
+			if got := sortFeatByDegree(degree); !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: radix order differs from the comparator", n, g.name)
+			}
 		}
 	}
 }
