@@ -729,9 +729,7 @@ func (t *Table) syncSecondary(w int, sh *shard, x int32, row int32, owner int) {
 	copy(val, t.store.rowRead(w, x))
 	if sh.pendCnt[row] > 0 {
 		pend := sh.pending.Row(int(row))
-		for i := range val {
-			val[i] -= t.cfg.LocalLR * pend[i]
-		}
+		tensor.Axpy(-t.cfg.LocalLR, pend, val)
 		for i := range pend {
 			pend[i] = 0
 		}
@@ -773,13 +771,11 @@ func (t *Table) Update(w int, feats []int32, grads *tensor.Matrix, writeBound in
 			sh.perOwner[owner].MetaKeys++
 			continue
 		}
-		// Secondary: local apply + pending accumulation.
-		val := sh.vals.Row(int(row))
+		// Secondary: local apply + pending accumulation. val −= LocalLR·g
+		// is Axpy with −LocalLR: x − a·g and x + (−a)·g round alike.
 		pend := sh.pending.Row(int(row))
-		for j, gv := range g {
-			val[j] -= t.cfg.LocalLR * gv
-			pend[j] += gv
-		}
+		tensor.Axpy(-t.cfg.LocalLR, g, sh.vals.Row(int(row)))
+		tensor.Add(g, pend)
 		sh.pendCnt[row]++
 		stats.LocalSecondary++
 		if writeBound != StalenessInf && int64(sh.pendCnt[row]) > writeBound {

@@ -226,11 +226,7 @@ func (w *worker) runIteration() {
 	for r := 0; r < bs; r++ {
 		drow := dInput.Row(r)
 		for f := 0; f < fields; f++ {
-			dst := gb.Row(int(batchIdx[r*fields+f]))
-			src := drow[f*dim : (f+1)*dim]
-			for i, v := range src {
-				dst[i] += v
-			}
+			tensor.Add(drow[f*dim:(f+1)*dim], gb.Row(int(batchIdx[r*fields+f])))
 		}
 	}
 

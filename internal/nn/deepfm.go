@@ -156,9 +156,7 @@ func (m *DeepFM) Backward(s State, dLogit []float32) *tensor.Matrix {
 	wMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
 	copy(wMat.Data, dLogit)
 	dWide := m.wide.backward(st.wide, wMat)
-	for i := range dInput.Data {
-		dInput.Data[i] += dWide.Data[i]
-	}
+	tensor.Add(dWide.Data, dInput.Data)
 
 	// FM second order: ∂fm/∂v_{f,d} = Σ_f' v_{f',d} − v_{f,d}.
 	for r := 0; r < rows; r++ {

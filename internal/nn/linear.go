@@ -89,10 +89,7 @@ func (l *Linear) backward(st *linearState, dOut *tensor.Matrix) *tensor.Matrix {
 		st.dB[j] = 0
 	}
 	for r := 0; r < rows; r++ {
-		row := dOut.Row(r)
-		for j, v := range row {
-			st.dB[j] += v
-		}
+		tensor.Add(dOut.Row(r), st.dB)
 	}
 	dIn := &tensor.Matrix{Rows: rows, Cols: l.In, Data: st.dIn.Data[:rows*l.In]}
 	tensor.MatMul(dIn, dOut, l.wt)

@@ -159,9 +159,7 @@ func (m *WDL) Backward(s State, dLogit []float32) *tensor.Matrix {
 	wMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
 	copy(wMat.Data, dLogit)
 	dWide := m.wide.backward(st.wide, wMat)
-	for i := range dInput.Data {
-		dInput.Data[i] += dWide.Data[i]
-	}
+	tensor.Add(dWide.Data, dInput.Data)
 	return dInput
 }
 

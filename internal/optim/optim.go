@@ -6,7 +6,8 @@ package optim
 
 import (
 	"fmt"
-	"math"
+
+	"hetgmp/internal/tensor"
 )
 
 // Sparse updates one embedding row at a time and may keep per-feature state
@@ -66,8 +67,12 @@ func NewSGD(lr float32) *SGD {
 	return &SGD{LR: lr}
 }
 
-// Apply implements Sparse.
-func (s *SGD) Apply(_ int32, row, grad []float32) {
+// Apply implements Sparse. It panics, before writing anything, unless row
+// and grad have one length.
+func (s *SGD) Apply(x int32, row, grad []float32) {
+	if len(row) != len(grad) {
+		panic(fmt.Sprintf("optim: SGD.Apply on feature %d: row of %d elements, gradient of %d", x, len(row), len(grad)))
+	}
 	for i, g := range grad {
 		row[i] -= s.LR * g
 	}
@@ -97,7 +102,7 @@ func (s *SGD) Name() string { return "sgd" }
 type AdaGrad struct {
 	LR  float32
 	Eps float32
-	// accum holds the running squared-gradient sums, lazily sized.
+	// accum holds the running squared-gradient sums, dim per feature.
 	accum []float32
 	dim   int
 }
@@ -111,13 +116,15 @@ func NewAdaGrad(lr float32, numFeatures, dim int) *AdaGrad {
 	return &AdaGrad{LR: lr, Eps: 1e-6, accum: make([]float32, numFeatures*dim), dim: dim}
 }
 
-// Apply implements Sparse.
+// Apply implements Sparse with tensor.AdaGradStep on feature x's slice of
+// the accumulator. It panics, before writing anything, unless row and grad
+// both have dim elements.
 func (a *AdaGrad) Apply(x int32, row, grad []float32) {
-	acc := a.accum[int(x)*a.dim : (int(x)+1)*a.dim]
-	for i, g := range grad {
-		acc[i] += g * g
-		row[i] -= a.LR * g / (float32(math.Sqrt(float64(acc[i]))) + a.Eps)
+	if len(row) != a.dim || len(grad) != a.dim {
+		panic(fmt.Sprintf("optim: AdaGrad.Apply on feature %d: row of %d elements, gradient of %d, dim %d", x, len(row), len(grad), a.dim))
 	}
+	off := int(x) * a.dim
+	tensor.AdaGradStep(a.accum[off:off+a.dim], row, grad, a.LR, a.Eps)
 }
 
 // Name implements Sparse.
@@ -145,13 +152,15 @@ func (d *DenseAdaGrad) Step(params, grad []float32) {
 
 // StepAt implements ChunkedDense: the accumulator slice is addressed at the
 // chunk's offset into the flattened parameter vector, so chunked sweeps and
-// a whole-vector Step touch identical accumulator cells.
+// a whole-vector Step touch identical accumulator cells. It panics, before
+// writing anything, unless params and grad have one length and the chunk
+// lies inside the accumulator.
 func (d *DenseAdaGrad) StepAt(offset int, params, grad []float32) {
-	acc := d.accum[offset : offset+len(grad)]
-	for i, g := range grad {
-		acc[i] += g * g
-		params[i] -= d.LR * g / (float32(math.Sqrt(float64(acc[i]))) + d.Eps)
+	if len(params) != len(grad) || offset < 0 || offset+len(grad) > len(d.accum) {
+		panic(fmt.Sprintf("optim: DenseAdaGrad.StepAt(%d): params of %d elements, gradient of %d, accumulator of %d",
+			offset, len(params), len(grad), len(d.accum)))
 	}
+	tensor.AdaGradStep(d.accum[offset:offset+len(grad)], params, grad, d.LR, d.Eps)
 }
 
 // Name implements Dense.

@@ -9,7 +9,7 @@ import "fmt"
 // a[p*2*aRow + {0,aRow} + k*aK] and b[k*bStride : +W] and write
 // dst[p*2*dstStride + {0,dstStride} : +W] for p < pairs, k < kk (byte
 // strides, unaligned access); the caller guarantees all of that is in bounds.
-// gemmPanel32 is AVX2 and may only run when wideGEMM says so; the other two
+// gemmPanel32 is AVX2 and may only run when hasAVX2 says so; the other two
 // are SSE2, which every amd64 CPU has.
 //
 //go:noescape
@@ -25,10 +25,11 @@ func gemmPanel4(dst *float32, dstStride uintptr, a *float32, aRow, aK uintptr, b
 // run 256-bit AVX2 code.
 func cpuHasAVX2() bool
 
-// wideGEMM puts the AVX2 panel at the head of gemm's column cascade. It is
-// probed once and nothing sets it: which cascade ran is invisible in the
-// results (see gemmWith), so there is nothing to configure.
-var wideGEMM = cpuHasAVX2()
+// hasAVX2 puts the AVX2 kernels at the head of every cascade: gemm's 32-column
+// panel and the 8-lane elementwise bodies. It is probed once and nothing sets
+// it: which cascade ran is invisible in the results (see gemmWith and
+// axpyWith), so there is nothing to configure.
+var hasAVX2 = cpuHasAVX2()
 
 // gemmWith computes dst = A·b (see gemmRows for the operand layout) with the
 // register-panel kernels: row pairs × 32-column panels when wide, then

@@ -2,8 +2,8 @@
 
 package tensor
 
-// wideGEMM is false off amd64: there is one cascade, the portable kernel.
-const wideGEMM = false
+// hasAVX2 is false off amd64: there is one cascade, the portable kernels.
+const hasAVX2 = false
 
 // gemmWith computes dst = A·b with the portable kernel; see gemmRows.
 func gemmWith(_ bool, dst, a []float32, transA bool, b []float32, m, n, kk int) {

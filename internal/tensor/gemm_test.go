@@ -37,7 +37,7 @@ func aShape(transA bool, rows, kk int) (int, int) {
 // this CPU; logs and benchmark names carry it.
 func panelName() string {
 	switch {
-	case wideGEMM:
+	case hasAVX2:
 		return "avx2x32"
 	case runtime.GOARCH == "amd64":
 		return "sse2x16"
@@ -107,7 +107,7 @@ func TestGEMMBitIdentitySweep(t *testing.T) {
 		}
 		paths := []path{{kern.name, kern.run}}
 		for _, wide := range []bool{false, true} {
-			if wide && !wideGEMM {
+			if wide && !hasAVX2 {
 				continue
 			}
 			paths = append(paths, path{fmt.Sprintf("%s/gemmWith(wide=%v)", kern.name, wide), func(dst, a, b *Matrix) {
@@ -146,7 +146,7 @@ func TestGEMMBitIdentitySweep(t *testing.T) {
 }
 
 // TestCPUProbeMatchesProcCpuinfo checks the CPUID/XGETBV probe behind
-// wideGEMM against the kernel's own reading of the same bits: the avx2 flag
+// hasAVX2 against the kernel's own reading of the same bits: the avx2 flag
 // is in /proc/cpuinfo exactly when the CPU has it and the OS saves YMM state.
 func TestCPUProbeMatchesProcCpuinfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
@@ -163,8 +163,8 @@ func TestCPUProbeMatchesProcCpuinfo(t *testing.T) {
 			break
 		}
 	}
-	if wideGEMM != listed {
-		t.Fatalf("probe says AVX2 usable = %v, /proc/cpuinfo lists avx2 = %v", wideGEMM, listed)
+	if hasAVX2 != listed {
+		t.Fatalf("probe says AVX2 usable = %v, /proc/cpuinfo lists avx2 = %v", hasAVX2, listed)
 	}
 }
 

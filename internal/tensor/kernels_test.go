@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,9 +25,181 @@ func refAxpy(alpha float32, x, y []float32) {
 	}
 }
 
-func refScale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
+// refAdd is the engine's per-(sample, field) scatter-add and the dense
+// towers' dInput += dWide.
+func refAdd(x, y []float32) {
+	for i, v := range x {
+		y[i] += v
+	}
+}
+
+// refAdaGrad is optim.AdaGrad.Apply's loop.
+func refAdaGrad(acc, row, grad []float32, lr, eps float32) {
+	for i, g := range grad {
+		acc[i] += g * g
+		row[i] -= lr * g / (float32(math.Sqrt(float64(acc[i]))) + eps)
+	}
+}
+
+// elemKernel is one elementwise kernel over operands a, b, c of one length:
+// Axpy and Add read a into b and ignore c; AdaGradStep is (acc, w, g) =
+// (a, b, c). entry is the exported function, with the driver with either
+// cascade, ref the reference loop.
+type elemKernel struct {
+	name       string
+	entry, ref func(a, b, c []float32)
+	with       func(wide bool, a, b, c []float32)
+}
+
+func elementwiseKernels() []elemKernel {
+	var ks []elemKernel
+	for _, alpha := range []float32{0.37, -0.05} {
+		ks = append(ks, elemKernel{
+			name:  fmt.Sprintf("Axpy(%g)", alpha),
+			entry: func(a, b, _ []float32) { Axpy(alpha, a, b) },
+			ref:   func(a, b, _ []float32) { refAxpy(alpha, a, b) },
+			with:  func(wide bool, a, b, _ []float32) { axpyWith(wide, alpha, a, b) },
+		})
+	}
+	ks = append(ks, elemKernel{
+		name:  "Add",
+		entry: func(a, b, _ []float32) { Add(a, b) },
+		ref:   func(a, b, _ []float32) { refAdd(a, b) },
+		with:  func(wide bool, a, b, _ []float32) { addWith(wide, a, b) },
+	})
+	for _, p := range [][2]float32{{0.05, 1e-6}, {0.37, 0}} {
+		lr, eps := p[0], p[1]
+		ks = append(ks, elemKernel{
+			name:  fmt.Sprintf("AdaGradStep(%g,%g)", lr, eps),
+			entry: func(a, b, c []float32) { AdaGradStep(a, b, c, lr, eps) },
+			ref:   func(a, b, c []float32) { refAdaGrad(a, b, c, lr, eps) },
+			with:  func(wide bool, a, b, c []float32) { adaGradStepWith(wide, a, b, c, lr, eps) },
+		})
+	}
+	return ks
+}
+
+// sweepValue draws from the values the update path must carry bit for bit:
+// ±0, subnormals, ±1e30 (whose square overflows), ±1e-30 (whose square
+// underflows) and magnitudes spread log-uniformly over 1e-10..1e5.
+func sweepValue(r *xrand.RNG) float32 {
+	var v float32
+	switch r.Intn(8) {
+	case 0:
+		v = 0
+	case 1:
+		v = math.Float32frombits(uint32(1 + r.Intn(1<<23-1)))
+	case 2:
+		v = 1e30
+	case 3:
+		v = 1e-30
+	default:
+		v = float32(math.Pow(10, -10+15*r.Float64()))
+	}
+	if r.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// TestElementwiseBitIdentitySweep pins the exactness contract of Axpy, Add
+// and AdaGradStep: at every length around the 4- and 8-lane boundaries, the
+// entry point and the *With driver with the scalar cascade and (where the CPU
+// has it) the AVX2 cascade leave every operand with the reference loop's
+// bits. a (AdaGrad's accumulator) is non-negative, as a sum of squares is,
+// and every fifth element has a = c = 0 (an accumulator and gradient both
+// zero). The operands are unaligned views inside NaN-canary slices: a kernel
+// that reads or writes past its n elements fails here.
+func TestElementwiseBitIdentitySweep(t *testing.T) {
+	r := xrand.New(37)
+	for _, k := range elementwiseKernels() {
+		type path struct {
+			name string
+			run  func(a, b, c []float32)
+		}
+		paths := []path{{k.name, k.entry}}
+		for _, wide := range []bool{false, true} {
+			if wide && !hasAVX2 {
+				continue
+			}
+			paths = append(paths, path{fmt.Sprintf("%s/with(wide=%v)", k.name, wide), func(a, b, c []float32) { k.with(wide, a, b, c) }})
+		}
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 31, 32, 33, 64, 100} {
+			for trial := 0; trial < 20; trial++ {
+				in := [3][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}
+				for i := 0; i < n; i++ {
+					for j := range in {
+						in[j][i] = sweepValue(r)
+					}
+					in[0][i] = float32(math.Abs(float64(in[0][i])))
+					if i%5 == 2 {
+						in[0][i], in[2][i] = 0, 0
+					}
+				}
+				var want [3][]float32
+				for j := range want {
+					want[j] = append([]float32(nil), in[j]...)
+				}
+				k.ref(want[0], want[1], want[2])
+				for _, p := range paths {
+					var got [3]carved
+					for j := range got {
+						got[j] = carve(1, n, 2*j+1)
+						copy(got[j].Data, in[j])
+					}
+					p.run(got[0].Data, got[1].Data, got[2].Data)
+					for j := range got {
+						for i := range want[j] {
+							if math.Float32bits(got[j].Data[i]) != math.Float32bits(want[j][i]) {
+								t.Fatalf("%s n=%d trial %d: operand %d element %d = %v (%#08x), reference %v (%#08x); inputs %v/%v/%v",
+									p.name, n, trial, j, i, got[j].Data[i], math.Float32bits(got[j].Data[i]),
+									want[j][i], math.Float32bits(want[j][i]), in[0][i], in[1][i], in[2][i])
+							}
+						}
+						if !got[j].intact() {
+							t.Fatalf("%s n=%d: wrote outside operand %d", p.name, n, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestElementwiseLengthPanics checks that Add and AdaGradStep refuse
+// mismatched operands before writing any of them.
+func TestElementwiseLengthPanics(t *testing.T) {
+	for name, lens := range map[string][3]int{
+		"Add":             {4, 5, 0},
+		"AdaGradStep/acc": {5, 4, 4},
+		"AdaGradStep/w":   {4, 5, 4},
+		"AdaGradStep/g":   {4, 4, 5},
+	} {
+		a, b, c := make([]float32, lens[0]), make([]float32, lens[1]), make([]float32, lens[2])
+		for i := range c {
+			c[i] = 1
+		}
+		for i := range a {
+			a[i] = 1
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted operands of %v elements", name, lens)
+				}
+			}()
+			if name == "Add" {
+				Add(a, b)
+			} else {
+				AdaGradStep(a, b, c, 0.1, 1e-6)
+			}
+		}()
+		for _, v := range b {
+			if v != 0 {
+				t.Errorf("%s wrote its output before panicking: %v", name, b)
+				break
+			}
+		}
 	}
 }
 
@@ -50,34 +223,6 @@ func randSlice(r *xrand.RNG, n int) []float32 {
 		s[i] = 2*r.Float32() - 1
 	}
 	return s
-}
-
-// TestAxpyScaleBitIdentical pins the exactness contract of the unrolled
-// elementwise kernels: every element runs the same single multiply(-add)
-// as the straight loop, so any length — including the 1..3 element tails —
-// must match bit for bit.
-func TestAxpyScaleBitIdentical(t *testing.T) {
-	r := xrand.New(7)
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33, 100, 257} {
-		x := randSlice(r, n)
-		y := randSlice(r, n)
-		yRef := append([]float32(nil), y...)
-		Axpy(0.37, x, y)
-		refAxpy(0.37, x, yRef)
-		for i := range y {
-			if y[i] != yRef[i] {
-				t.Fatalf("Axpy n=%d: element %d differs: %v vs %v", n, i, y[i], yRef[i])
-			}
-		}
-		sRef := append([]float32(nil), x...)
-		Scale(-1.83, x)
-		refScale(-1.83, sRef)
-		for i := range x {
-			if x[i] != sRef[i] {
-				t.Fatalf("Scale n=%d: element %d differs: %v vs %v", n, i, x[i], sRef[i])
-			}
-		}
-	}
 }
 
 // TestDotULPBound documents and bounds the one deliberate reassociation:
@@ -153,5 +298,21 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Axpy(0.5, x, y)
+	}
+}
+
+// BenchmarkAdd runs Add at the embedding widths of the benchmark's workloads
+// (4, 8, 32: the engine's scatter-add) and at one dense-tower width (832).
+func BenchmarkAdd(b *testing.B) {
+	for _, n := range []int{4, 8, 32, 832} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			r := xrand.New(3)
+			x := randSlice(r, n)
+			y := randSlice(r, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Add(x, y)
+			}
+		})
 	}
 }

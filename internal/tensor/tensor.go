@@ -55,32 +55,6 @@ func (m *Matrix) XavierInit(r *xrand.RNG) {
 	}
 }
 
-// axpyCore is the shared 8-wide unrolled kernel behind Axpy and the inner
-// loop of gemmRows: y[i] += alpha·x[i]. Each element runs exactly
-// one multiply-add, so the unrolled sweep is bit-identical to the straight
-// loop at any length; the unroll only breaks the loop-carried bookkeeping so
-// the eight independent element updates can issue back to back (FMA-shaped:
-// eight independent mul-add chains per trip). Callers guarantee
-// len(x) == len(y).
-func axpyCore(alpha float32, x, y []float32) {
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		x8 := x[i : i+8 : i+8]
-		y8 := y[i : i+8 : i+8]
-		y8[0] += alpha * x8[0]
-		y8[1] += alpha * x8[1]
-		y8[2] += alpha * x8[2]
-		y8[3] += alpha * x8[3]
-		y8[4] += alpha * x8[4]
-		y8[5] += alpha * x8[5]
-		y8[6] += alpha * x8[6]
-		y8[7] += alpha * x8[7]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
 // aStrides returns the element strides of the gemm a-operand A, whose (i, k)
 // entry is a[i*aRow+k*aK]: an m×kk row-major matrix, or with transA the
 // transpose of a kk×m one. Either way a spans exactly m·kk elements.
@@ -99,11 +73,11 @@ func aStrides(transA bool, m, kk int) (aRow, aK int) {
 // with A laid out as aStrides describes and b a kk×n row-major matrix. Each
 // element is one left-to-right float32 sum over k starting from +0, whatever
 // the row or column range, so any tiling of dst yields the same bits. The
-// inner loop is a saxpy along the dst row; zero A-entries (half of a
+// inner loop is an Axpy along the dst row; zero A-entries (half of a
 // post-ReLU operand) are skipped, which cannot change a finite sum.
 //
-// It is the whole implementation off amd64, and on amd64 both the edge
-// handler of the register panels and the oracle their tests compare against.
+// It is the whole implementation off amd64, and on amd64 the edge handler of
+// the register panels.
 func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 int) {
 	if j0 >= n {
 		return
@@ -119,7 +93,7 @@ func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 i
 			if aik == 0 {
 				continue
 			}
-			axpyCore(aik, b[k*n+j0:(k+1)*n], drow)
+			Axpy(aik, b[k*n+j0:(k+1)*n], drow)
 		}
 	}
 }
@@ -127,7 +101,7 @@ func gemmRows(dst, a []float32, transA bool, b []float32, m, n, kk, i0, i1, j0 i
 // gemm computes dst = A·b with the widest kernels this CPU runs; every choice
 // gemmWith can make yields the same bits.
 func gemm(dst, a []float32, transA bool, b []float32, m, n, kk int) {
-	gemmWith(wideGEMM, dst, a, transA, b, m, n, kk)
+	gemmWith(hasAVX2, dst, a, transA, b, m, n, kk)
 }
 
 // MatMul computes dst = a · b. dst must be pre-allocated with shape
@@ -194,7 +168,7 @@ func MatMulATB(dst, a, b *Matrix) {
 		}
 		for r, br := range w {
 			if br != 0 {
-				axpyCore(br, x[r*m:(r+1)*m], d)
+				Axpy(br, x[r*m:(r+1)*m], d)
 			}
 		}
 		return
@@ -213,36 +187,6 @@ func Transpose(dst, src *Matrix) {
 		for j, v := range src.Row(i) {
 			dst.Data[j*src.Rows+i] = v
 		}
-	}
-}
-
-// Axpy computes y += alpha*x elementwise, 8-wide unrolled; the result is
-// bit-identical to the straight loop (one multiply-add per element either
-// way). The slices must be equal length.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: Axpy length mismatch")
-	}
-	axpyCore(alpha, x, y)
-}
-
-// Scale multiplies every element of x by alpha in place, 8-wide unrolled;
-// bit-identical to the straight loop.
-func Scale(alpha float32, x []float32) {
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		x8 := x[i : i+8 : i+8]
-		x8[0] *= alpha
-		x8[1] *= alpha
-		x8[2] *= alpha
-		x8[3] *= alpha
-		x8[4] *= alpha
-		x8[5] *= alpha
-		x8[6] *= alpha
-		x8[7] *= alpha
-	}
-	for ; i < len(x); i++ {
-		x[i] *= alpha
 	}
 }
 

@@ -170,15 +170,22 @@ func TestAxpyLengthPanics(t *testing.T) {
 	Axpy(1, []float32{1}, []float32{1, 2})
 }
 
-func TestDotAndScale(t *testing.T) {
+func TestDot(t *testing.T) {
 	x := []float32{1, 2, 3}
 	y := []float32{4, 5, 6}
 	if got := Dot(x, y); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	Scale(0.5, x)
-	if x[0] != 0.5 || x[2] != 1.5 {
-		t.Fatalf("Scale wrong: %v", x)
+}
+
+func TestAdd(t *testing.T) {
+	x := []float32{1, 2, 3, 4, 5}
+	y := []float32{10, 20, 30, 40, 50}
+	Add(x, y)
+	for i, want := range []float32{11, 22, 33, 44, 55} {
+		if y[i] != want {
+			t.Fatalf("y[%d] = %v, want %v", i, y[i], want)
+		}
 	}
 }
 
@@ -245,8 +252,9 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		ab := NewMatrix(3, 2)
 		MatMul(ab, a, b)
 		a2 := NewMatrix(a.Rows, a.Cols)
-		copy(a2.Data, a.Data)
-		Scale(alpha, a2.Data)
+		for i, v := range a.Data {
+			a2.Data[i] = alpha * v
+		}
 		ab2 := NewMatrix(3, 2)
 		MatMul(ab2, a2, b)
 		for i := range ab.Data {
