@@ -7,20 +7,13 @@ import (
 	"hetgmp/internal/obs/memacct"
 )
 
-// mapBytesPerEntry is the documented approximation for Go's map overhead
-// in the byte accounting: an int32→int32 map costs its 8 payload bytes
-// plus bucket metadata (tophash, overflow pointers, load-factor slack),
-// rounded to 16 bytes per entry. It is the only estimated leaf in the
-// table's footprint; everything else is exact slice length × element size.
-const mapBytesPerEntry = 16
-
 // Footprint reports the table's measured memory layout as a named tree of
 // component→bytes (see internal/obs/memacct). Every leaf is computed from
-// the lengths/capacities of the table's own allocations, so the report
-// reflects what this run actually holds — the measured counterpart of
-// PlanCapacity's paper-§7.4 arithmetic. Queue and arena leaves use
-// capacity, not length: they are reset-not-freed buffers whose capacity is
-// the steady-state high-water mark.
+// the lengths/capacities of the table's own allocations, and none is an
+// estimate, so the report reflects what this run actually holds — the
+// measured counterpart of PlanCapacity's paper-§7.4 arithmetic. Queue and
+// arena leaves use capacity, not length: they are reset-not-freed buffers
+// whose capacity is the steady-state high-water mark.
 //
 // Footprint walks append-grown buffers, so call it only from
 // single-threaded sections (construction, commit boundaries, post-run);
@@ -49,7 +42,7 @@ func (t *Table) Footprint() obs.Footprint {
 		replicaPend += int64(len(sh.pending.Data)) * f32Bytes
 		replicaCnt += int64(len(sh.pendCnt)) * i32Bytes
 		replicaClock += int64(len(sh.baseClock)) * i64Bytes
-		replicaIdx += int64(len(sh.index)) * mapBytesPerEntry
+		replicaIdx += sh.index.Bytes()
 		replicaFeats += int64(len(sh.feats)) * i32Bytes
 		for _, q := range sh.queues {
 			queueEntries += int64(cap(q)) * queueEntry

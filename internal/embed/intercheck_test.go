@@ -55,7 +55,7 @@ func (o *sortOracle) read(w int, feats []int32, dst *tensor.Matrix, opt ReadOpti
 			stats.LocalPrimary++
 			continue
 		}
-		row, ok := sh.index[x]
+		row, ok := sh.index.Get(x)
 		if !ok {
 			copy(dst.Row(i), t.store.rowRead(w, x))
 			stats.RemoteReads++
@@ -87,7 +87,7 @@ func (o *sortOracle) verifyReadBound(w int, sh *shard, feats []int32, s int64) {
 	t := o.t
 	ck := t.check
 	for _, x := range feats {
-		row, ok := sh.index[x]
+		row, ok := sh.index.Get(x)
 		if !ok || t.assign.PrimaryOf[x] == w {
 			continue
 		}
@@ -131,7 +131,7 @@ func (o *sortOracle) interCheck(w int, sh *shard, feats []int32, dst *tensor.Mat
 			if owner == w {
 				continue
 			}
-			row, ok := sh.index[x]
+			row, ok := sh.index.Get(x)
 			if !ok {
 				continue
 			}
@@ -176,7 +176,7 @@ func (o *sortOracle) interCheck(w int, sh *shard, feats []int32, dst *tensor.Mat
 		if owner == w {
 			continue
 		}
-		row, ok := sh.index[x]
+		row, ok := sh.index.Get(x)
 		if !ok {
 			continue
 		}

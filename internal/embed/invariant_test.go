@@ -98,11 +98,21 @@ func TestCorruptedPrimaryClockTripsChecker(t *testing.T) {
 	t.Fatal("commit accepted a negative primary clock")
 }
 
+// replicaRow is sh's secondary row of feature x. It fails the test when sh
+// holds no secondary of x, rather than let the caller corrupt some other row.
+func replicaRow(t *testing.T, sh *shard, x int32) int32 {
+	t.Helper()
+	row, ok := sh.index.Get(x)
+	if !ok {
+		t.Fatalf("shard holds no secondary of feature %d", x)
+	}
+	return row
+}
+
 func TestReplicaAheadOfPrimaryTripsChecker(t *testing.T) {
 	tbl, _ := newCheckedTable(t)
 	sh := tbl.shards[0]
-	row := sh.index[3]
-	sh.baseClock[row] = 100 // replica claims to be ahead of its primary
+	sh.baseClock[replicaRow(t, sh, 3)] = 100 // replica claims to be ahead of its primary
 
 	defer func() {
 		v, ok := recover().(*invariant.Violation)
@@ -124,7 +134,7 @@ func TestRecordModeCollectsInsteadOfPanicking(t *testing.T) {
 	tbl, ck := newCheckedTable(t)
 	ck.SetRecordOnly(true)
 	sh := tbl.shards[0]
-	sh.baseClock[sh.index[3]] = 100
+	sh.baseClock[replicaRow(t, sh, 3)] = 100
 	tbl.Commit() // must not panic in record mode
 	vs := ck.Violations()
 	if len(vs) == 0 {
@@ -141,7 +151,7 @@ func TestRecordModeCollectsInsteadOfPanicking(t *testing.T) {
 func TestVerifyCommittedNoCheckerIsNoop(t *testing.T) {
 	tbl := newTestTable(t)
 	// Corrupt state, but with no checker attached nothing may fire.
-	tbl.shards[0].baseClock[tbl.shards[0].index[3]] = 100
+	tbl.shards[0].baseClock[replicaRow(t, tbl.shards[0], 3)] = 100
 	tbl.VerifyCommitted()
 	tbl.Commit()
 }

@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"sync"
 
+	"hetgmp/internal/idmap"
 	"hetgmp/internal/invariant"
 	"hetgmp/internal/obs"
 	"hetgmp/internal/obs/memacct"
@@ -154,8 +155,10 @@ type Table struct {
 // shard is one worker's secondary replica store plus its queued primary
 // effects.
 type shard struct {
-	index map[int32]int32 // feature → row
-	feats []int32         // row → feature
+	// index maps a secondary's feature id to its row. Replica sets are
+	// fixed once the partition is, so it is built once, at load ≤ ½.
+	index *idmap.Map
+	feats []int32 // row → feature
 	vals  *tensor.Matrix
 	// pending accumulates gradients applied locally but not yet written
 	// back — the paper's "stale gradients" buffer.
@@ -395,7 +398,7 @@ func NewTable(cfg Config) (*Table, error) {
 	for w := 0; w < t.n; w++ {
 		feats := cfg.Assign.SecondariesOn(w)
 		sh := &shard{
-			index:     make(map[int32]int32, len(feats)),
+			index:     idmap.New(len(feats)),
 			feats:     feats,
 			vals:      tensor.NewMatrix(len(feats), cfg.Dim),
 			pending:   tensor.NewMatrix(len(feats), cfg.Dim),
@@ -405,7 +408,7 @@ func NewTable(cfg Config) (*Table, error) {
 			perOwner:  make([]OwnerTraffic, t.n),
 		}
 		for row, x := range feats {
-			sh.index[x] = int32(row)
+			sh.index.Insert(x, int32(row))
 			copy(sh.vals.Row(row), t.store.rowView(x))
 		}
 		t.shards[w] = sh
@@ -454,7 +457,7 @@ func (t *Table) PrimaryClock(x int32) int64 { return t.primaryClock[x] }
 // holds a secondary of x at all.
 func (t *Table) ReplicaClock(w int, x int32) (int64, bool) {
 	sh := t.shards[w]
-	row, ok := sh.index[x]
+	row, ok := sh.index.Get(x)
 	if !ok {
 		return 0, false
 	}
@@ -465,7 +468,7 @@ func (t *Table) ReplicaClock(w int, x int32) (int64, bool) {
 // tests and diagnostics.
 func (t *Table) SecondaryRow(w int, x int32) ([]float32, bool) {
 	sh := t.shards[w]
-	row, ok := sh.index[x]
+	row, ok := sh.index.Get(x)
 	if !ok {
 		return nil, false
 	}
@@ -511,7 +514,7 @@ func (t *Table) Read(w int, feats []int32, dst *tensor.Matrix, opt ReadOptions) 
 			rowOf[i] = -1
 			continue
 		}
-		row, ok := sh.index[x]
+		row, ok := sh.index.Get(x)
 		if !ok {
 			// Cache miss: remote read of the primary. One key of metadata
 			// up, one vector down.
@@ -763,7 +766,7 @@ func (t *Table) Update(w int, feats []int32, grads *tensor.Matrix, writeBound in
 			stats.LocalPrimary++
 			continue
 		}
-		row, ok := sh.index[x]
+		row, ok := sh.index.Get(x)
 		if !ok {
 			t.queueUpdate(sh, owner, x, 1, g)
 			stats.RemotePush++

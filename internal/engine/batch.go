@@ -8,6 +8,16 @@ type batchPrep struct {
 	bs       int
 }
 
+// newBatchPrep allocates a batchPrep for batches of up to b samples of the
+// given field count.
+func newBatchPrep(b, fields int) batchPrep {
+	return batchPrep{
+		uniq:     make([]int32, 0, b*fields),
+		batchIdx: make([]int32, b*fields),
+		labels:   make([]float32, b),
+	}
+}
+
 // nextBatch cuts the next mini-batch from the epoch order and advances the
 // cursor.
 func (w *worker) nextBatch() []int32 {
@@ -21,18 +31,11 @@ func (w *worker) nextBatch() []int32 {
 }
 
 // prepBatch deduplicates batch's features — the paper's "local reduction" —
-// and gathers its labels into w.prep. It bumps the dedup generation.
+// and gathers its labels into w.prep.
 func (w *worker) prepBatch(batch []int32) {
 	cfg := &w.t.cfg
 	p := &w.prep
 	fields := cfg.Train.NumFields
-	w.gen++
-	if w.gen == 0 {
-		// Generation counter wrapped: old stamps become ambiguous, so
-		// invalidate them all once and restart from 1.
-		clear(w.uniqGen)
-		w.gen = 1
-	}
 	p.bs = len(batch)
 	// Stage the batch first: every iteration of this loop is independent, so
 	// the cache misses on the shuffled samples overlap instead of queueing
@@ -43,15 +46,16 @@ func (w *worker) prepBatch(batch []int32) {
 		copy(p.batchIdx[r*fields:(r+1)*fields], s.Features)
 	}
 	// Then replace each staged id by its slot, in the same (sample, field)
-	// order, so uniq keeps first-occurrence order.
+	// order, so uniq keeps first-occurrence order: a new id takes the next
+	// slot, a seen one gets the slot it took.
+	w.dedup.Reset()
 	p.uniq = p.uniq[:0]
 	idx := p.batchIdx[:len(batch)*fields]
 	for i, x := range idx {
-		if w.uniqGen[x] != w.gen {
-			w.uniqGen[x] = w.gen
-			w.uniqSlot[x] = int32(len(p.uniq))
+		slot := w.dedup.Insert(x, int32(len(p.uniq)))
+		if int(slot) == len(p.uniq) {
 			p.uniq = append(p.uniq, x)
 		}
-		idx[i] = w.uniqSlot[x]
+		idx[i] = slot
 	}
 }

@@ -2,11 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
 
+	"hetgmp/internal/dataset"
+	"hetgmp/internal/idmap"
 	"hetgmp/internal/nn"
 	"hetgmp/internal/xrand"
 )
@@ -116,9 +117,10 @@ func TestEarlyStopMidEpoch(t *testing.T) {
 // TestPrepBatchMatchesMapDedup holds the staged prepBatch (fetch pass, then
 // dedup pass) to a naive first-occurrence map dedup on random batches: full
 // ones, a short final batch behind a full one (whose stale tail must not
-// leak in), batches with heavy repetition, and batches straddling the
-// generation counter's wrap, where stale stamps from an earlier "generation
-// 1" must not be mistaken for current ones.
+// leak in), batches with heavy repetition, a batch whose every (sample,
+// field) id is distinct — the dedup table's maximum load — and 10 000
+// consecutive batches on one table, so nothing a batch leaves behind can
+// leak into the next.
 func TestPrepBatchMatchesMapDedup(t *testing.T) {
 	f := newFixture(t)
 	tr, err := NewTrainer(f.config(t, nil))
@@ -127,7 +129,6 @@ func TestPrepBatchMatchesMapDedup(t *testing.T) {
 	}
 	w := tr.workers[0]
 	p := &w.prep
-	samples := f.train.Samples
 	fields := f.train.NumFields
 	full := tr.cfg.BatchPerWorker
 	rng := xrand.New(99)
@@ -135,6 +136,7 @@ func TestPrepBatchMatchesMapDedup(t *testing.T) {
 	check := func(label string, batch []int32) {
 		t.Helper()
 		w.prepBatch(batch)
+		samples := tr.cfg.Train.Samples
 		var uniq []int32
 		slot := map[int32]int32{}
 		idx := make([]int32, 0, len(batch)*fields)
@@ -167,7 +169,7 @@ func TestPrepBatchMatchesMapDedup(t *testing.T) {
 	random := func(n int) []int32 {
 		batch := make([]int32, n)
 		for i := range batch {
-			batch[i] = int32(rng.Intn(len(samples)))
+			batch[i] = int32(rng.Intn(len(f.train.Samples)))
 		}
 		return batch
 	}
@@ -184,17 +186,80 @@ func TestPrepBatchMatchesMapDedup(t *testing.T) {
 	}
 	check("repeated", repeated)
 
-	// Generation wrap: stamp every feature as seen in generation 1, then run
-	// the counter over the top. The batch after the wrap is generation 1
-	// again and must still see every feature as new.
-	for x := range w.uniqGen {
-		w.uniqGen[x] = 1
+	// Maximum load: a training set whose samples share no id, so a full
+	// batch fills the dedup table with exactly batch×fields keys.
+	orig := tr.cfg.Train
+	distinct := *orig
+	distinct.Samples = make([]dataset.Sample, full)
+	allDistinct := make([]int32, full)
+	for s := range distinct.Samples {
+		feats := make([]int32, fields)
+		for j := range feats {
+			feats[j] = int32(s*fields + j)
+		}
+		distinct.Samples[s] = dataset.Sample{Features: feats, Label: float32(s % 2)}
+		allDistinct[s] = int32(s)
 	}
-	w.gen = math.MaxUint32 - 2
-	for i := 0; i < 5; i++ {
-		check("wrap", random(full))
+	tr.cfg.Train = &distinct
+	check("all distinct", allDistinct)
+	if len(p.uniq) != full*fields {
+		t.Fatalf("all-distinct batch deduplicated to %d ids, want %d", len(p.uniq), full*fields)
 	}
-	if w.gen != 3 {
-		t.Fatalf("generation counter at %d after wrapping, want 3", w.gen)
+	tr.cfg.Train = orig
+
+	// Consecutive batches on one table, every hundredth at maximum load.
+	for i := 0; i < 10_000; i++ {
+		if i%100 == 99 {
+			tr.cfg.Train = &distinct
+			check("consecutive, all distinct", allDistinct)
+			tr.cfg.Train = orig
+			continue
+		}
+		check("consecutive", random(1+rng.Intn(full)))
+	}
+}
+
+// BenchmarkPrepBatch times one 256-sample batch through prepBatch (staging
+// and dedup) on the tables of two benchmark workloads: embed-bound's Avazu
+// slice (≈47 k features) and tiered-bigtable's 600 k-feature Criteo table.
+// The dedup table is sized by the batch, not by the feature count.
+func BenchmarkPrepBatch(b *testing.B) {
+	const batch = 256
+	for _, c := range []struct {
+		name              string
+		preset            string
+		scale             float64
+		samples, features int
+	}{
+		{"F47k", dataset.Avazu, 5e-3, 0, 0},
+		{"F600k", dataset.Criteo, 1e-3, 80_000, 600_000},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg, err := dataset.PresetConfig(c.preset, c.scale, 22)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.samples > 0 {
+				cfg.NumSamples, cfg.NumFeatures = c.samples, c.features
+			}
+			ds, err := dataset.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fields := ds.NumFields
+			w := &worker{
+				t:     &Trainer{cfg: Config{Train: ds, BatchPerWorker: batch}},
+				dedup: idmap.New(batch * fields),
+				prep:  newBatchPrep(batch, fields),
+			}
+			order := xrand.New(5).Perm32(len(ds.Samples))
+			batches := len(order) / batch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % batches
+				w.prepBatch(order[k*batch : (k+1)*batch])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*fields), "ns/edge")
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"unsafe"
+
+	"hetgmp/internal/embed"
 	"hetgmp/internal/nn"
 	"hetgmp/internal/obs"
 	"hetgmp/internal/obs/analyze"
@@ -19,19 +22,23 @@ func bufBytes(m *tensor.Matrix) int64 {
 // tree (internal/obs/memacct): the embedding table, the dense model
 // (weights + batch-parallel activation shards), the partition assignment,
 // the bigraph (when the caller threaded it through Config.Graph), and the
-// engine's own per-worker buffers. Walks append-grown table buffers, so
-// call only from single-threaded sections (between iterations or
+// engine's own buffers, every per-worker one included
+// (TestFootprintCountsEveryWorkerBuffer). Walks append-grown table buffers,
+// so call only from single-threaded sections (between iterations or
 // post-run).
 func (t *Trainer) Footprint() obs.Footprint {
-	var dedup, prep, gather int64
+	const ownerEntry = int64(unsafe.Sizeof(embed.OwnerTraffic{}))
+	var dedup, prep, gather, order int64
 	states := make([]nn.State, 0, len(t.workers))
 	for _, w := range t.workers {
 		states = append(states, w.state)
-		dedup += int64(len(w.uniqGen))*4 + int64(len(w.uniqSlot))*4
+		dedup += w.dedup.Bytes()
 		p := &w.prep
 		prep += int64(cap(p.uniq))*4 + int64(cap(p.batchIdx))*4 + int64(cap(p.labels))*4
-		gather += bufBytes(w.embBuf) + bufBytes(w.gradBuf) + bufBytes(w.input) +
-			int64(len(w.dLogit))*4 + int64(len(w.iterHostBytes))*8 + int64(len(w.hostVecs))*8
+		gather += bufBytes(w.embBuf) + bufBytes(w.input) +
+			int64(cap(w.dLogit))*4 + int64(cap(w.iterHostBytes))*8 + int64(cap(w.hostVecs))*8 +
+			int64(cap(w.distReadPer)+cap(w.distUpdPer))*ownerEntry
+		order += int64(cap(w.order)) * 4
 	}
 	gather += int64(len(t.nicOut)+len(t.nicIn)) * 8
 	var dense int64
@@ -49,6 +56,7 @@ func (t *Trainer) Footprint() obs.Footprint {
 		memacct.Node("engine",
 			memacct.Leaf("dedup_index", dedup),
 			memacct.Leaf("batch_prep", prep),
+			memacct.Leaf("sample_order", order),
 			memacct.Leaf("gather_buffers", gather),
 			memacct.Leaf("dense_sync", dense),
 			memacct.Leaf("eval", eval),

@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
+	"hetgmp/internal/cluster"
 	"hetgmp/internal/consistency"
+	"hetgmp/internal/embed"
+	"hetgmp/internal/idmap"
 	"hetgmp/internal/obs/analyze"
+	"hetgmp/internal/partition"
+	"hetgmp/internal/tensor"
 )
 
 // TestReportCarriesCapacity pins the tentpole end-to-end: a Report=true run
@@ -78,5 +84,95 @@ func TestCapacityDeterministic(t *testing.T) {
 		if a.HotFeatures[i] != b.HotFeatures[i] {
 			t.Errorf("hot set diverges at %d: %+v vs %+v", i, a.HotFeatures[i], b.HotFeatures[i])
 		}
+	}
+}
+
+// TestFootprintCountsEveryWorkerBuffer walks the worker struct by reflection,
+// as TestFootprintCountsEveryShardScratchSlice walks the table's shard: every
+// field is a scalar, a buffer, or listed as not the engine's to count, and
+// the engine's per-worker leaves must hold exactly the buffers' bytes. A
+// buffer added to worker without a line in Trainer.Footprint fails here.
+func TestFootprintCountsEveryWorkerBuffer(t *testing.T) {
+	f := newFixture(t)
+	topo := cluster.ClusterB(2)
+	// PS mode allocates the per-host tallies; two nodes the NIC tallies.
+	tr, err := NewTrainer(f.config(t, func(c *Config) {
+		c.Topo = topo
+		c.Assign = partition.Random(f.g, topo.NumWorkers(), 5)
+		c.PS = &PSConfig{Hosts: topo.Nodes}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range tr.workers {
+		w.startEpoch()
+		w.runIteration()
+		// Only distributed mode grows the summary copies; give them room so
+		// the walk can see whether they are counted.
+		w.distReadPer = make([]embed.OwnerTraffic, 3)
+		w.distUpdPer = make([]embed.OwnerTraffic, 5)
+	}
+	notABuffer := map[string]bool{
+		"t":     true, // the trainer itself
+		"rng":   true, // generator state, one word
+		"state": true, // the model's activations: run.model's tree counts them
+	}
+	var walk func(path string, v reflect.Value) int64
+	walk = func(path string, v reflect.Value) int64 {
+		var bytes int64
+		for i := 0; i < v.NumField(); i++ {
+			name := path + v.Type().Field(i).Name
+			if notABuffer[name] {
+				continue
+			}
+			f := v.Field(i)
+			switch f.Kind() {
+			case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint32, reflect.Float64:
+				continue
+			case reflect.Slice:
+				if f.Cap() == 0 {
+					t.Fatalf("worker.%s was not grown above; the test cannot see whether it is counted", name)
+				}
+				bytes += int64(f.Cap()) * int64(f.Type().Elem().Size())
+			case reflect.Struct:
+				bytes += walk(name+".", f)
+			case reflect.Pointer:
+				switch p := f.UnsafePointer(); f.Type() {
+				case reflect.TypeOf((*tensor.Matrix)(nil)):
+					bytes += int64(cap((*tensor.Matrix)(p).Data)) * 4
+				case reflect.TypeOf((*idmap.Map)(nil)):
+					bytes += (*idmap.Map)(p).Bytes()
+				default:
+					t.Fatalf("worker.%s is a %s: neither a buffer the walk knows nor listed as not one", name, f.Type())
+				}
+			default:
+				t.Fatalf("worker.%s is a %s: neither a buffer the walk knows nor listed as not one", name, f.Type())
+			}
+		}
+		return bytes
+	}
+	var want int64
+	for _, w := range tr.workers {
+		want += walk("", reflect.ValueOf(w).Elem())
+	}
+
+	fp := tr.Footprint()
+	if err := fp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// gather_buffers also holds the trainer's per-node NIC tallies.
+	got := int64(-(len(tr.nicOut) + len(tr.nicIn)) * 8)
+	for _, leaf := range []string{"dedup_index", "batch_prep", "sample_order", "gather_buffers"} {
+		n, ok := fp.Find("run.engine." + leaf)
+		if !ok {
+			t.Fatalf("footprint has no run.engine.%s", leaf)
+		}
+		got += n.Bytes
+	}
+	if got != want {
+		t.Fatalf("engine's per-worker leaves hold %d bytes, the workers' buffers %d", got, want)
+	}
+	if len(tr.nicOut) == 0 {
+		t.Fatal("two-node fixture allocated no NIC tallies")
 	}
 }

@@ -515,7 +515,7 @@ func (t *Trainer) Run() (*Result, error) {
 	}
 	itersPerEpoch := 0
 	for _, w := range t.workers {
-		if n := (len(w.samples) + cfg.BatchPerWorker - 1) / cfg.BatchPerWorker; n > itersPerEpoch {
+		if n := (len(w.order) + cfg.BatchPerWorker - 1) / cfg.BatchPerWorker; n > itersPerEpoch {
 			itersPerEpoch = n
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"hetgmp/internal/comm"
 	"hetgmp/internal/embed"
+	"hetgmp/internal/idmap"
 	"hetgmp/internal/nn"
 	"hetgmp/internal/tensor"
 	"hetgmp/internal/xrand"
@@ -12,32 +13,32 @@ import (
 // of an iteration a worker touches only its own fields, its embedding-table
 // shard, and read-only shared state.
 type worker struct {
-	id      int
-	t       *Trainer
-	samples []int32
-	order   []int32
-	cursor  int
-	rng     *xrand.RNG
+	id int
+	t  *Trainer
+	// order is the worker's shard of training sample ids, reshuffled every
+	// epoch; the cursor is the next batch's start.
+	order  []int32
+	cursor int
+	rng    *xrand.RNG
 
 	state nn.State
 
-	// Batch dedup runs per iteration over every (sample, field) edge, so it
-	// is a hot path: instead of a hash map cleared each batch, a dense
-	// generation-stamped index keyed by feature id — uniqSlot[x] is x's slot
-	// in uniq iff uniqGen[x] equals the current batch's generation. Bumping
-	// uniqGen invalidates the whole index in O(1) and the lookups are two
-	// array reads with no hashing or allocation.
-	uniqGen  []uint32
-	uniqSlot []int32
-	gen      uint32
+	// dedup maps a feature id to its slot in the batch's uniq list. Batch
+	// dedup runs per iteration over every (sample, field) edge, so it is a
+	// hot path: an open-addressed table sized by the batch (at most
+	// batch×fields ids), not by the feature space, so it stays in L2 and
+	// its per-batch Reset is one memclr.
+	dedup *idmap.Map
 
 	// prep holds the current iteration's deduplicated batch (see batch.go).
 	prep batchPrep
 
-	embBuf  *tensor.Matrix // unique embeddings gathered by Read
-	gradBuf *tensor.Matrix // per-unique embedding gradients
-	input   *tensor.Matrix // batch × (fields·dim)
-	dLogit  []float32
+	// embBuf holds the unique embeddings Read gathers. Nothing reads them
+	// once input is built, so the scatter-add then reuses it for the
+	// per-unique embedding gradients that Update applies.
+	embBuf *tensor.Matrix
+	input  *tensor.Matrix // batch × (fields·dim)
+	dLogit []float32
 
 	// Per-iteration outputs.
 	iterTime    float64
@@ -110,27 +111,21 @@ func newWorker(id int, t *Trainer, samples []int32, rng *xrand.RNG) *worker {
 	fields := cfg.Train.NumFields
 	b := cfg.BatchPerWorker
 	w := &worker{
-		id:       id,
-		t:        t,
-		samples:  samples,
-		rng:      rng,
-		state:    t.model.NewState(b),
-		uniqGen:  make([]uint32, cfg.Train.NumFeatures),
-		uniqSlot: make([]int32, cfg.Train.NumFeatures),
-		embBuf:   tensor.NewMatrix(b*fields, cfg.Dim),
-		gradBuf:  tensor.NewMatrix(b*fields, cfg.Dim),
-		input:    tensor.NewMatrix(b, fields*cfg.Dim),
-		dLogit:   make([]float32, b),
-		prep: batchPrep{
-			uniq:     make([]int32, 0, b*fields),
-			batchIdx: make([]int32, b*fields),
-			labels:   make([]float32, b),
-		},
+		id:     id,
+		t:      t,
+		rng:    rng,
+		state:  t.model.NewState(b),
+		dedup:  idmap.New(b * fields),
+		embBuf: tensor.NewMatrix(b*fields, cfg.Dim),
+		input:  tensor.NewMatrix(b, fields*cfg.Dim),
+		dLogit: make([]float32, b),
+		prep:   newBatchPrep(b, fields),
 	}
 	if cfg.PS != nil {
 		w.iterHostBytes = make([]int64, cfg.PS.Hosts)
 		w.hostVecs = make([]int, cfg.PS.Hosts)
 	}
+	// A copy at exactly the shard's length: samples was append-grown.
 	w.order = make([]int32, len(samples))
 	copy(w.order, samples)
 	return w
@@ -220,8 +215,9 @@ func (w *worker) runIteration() {
 	dInput := w.t.model.Backward(w.state, w.dLogit[:bs])
 	w.t.model.Grads(w.state, w.t.denseGrad[w.id])
 
-	// Scatter-add embedding gradients per unique feature.
-	gb := &tensor.Matrix{Rows: len(uniq), Cols: dim, Data: w.gradBuf.Data[:len(uniq)*dim]}
+	// Scatter-add embedding gradients per unique feature, into embBuf: the
+	// gathered rows are already copied into input.
+	gb := &tensor.Matrix{Rows: len(uniq), Cols: dim, Data: w.embBuf.Data[:len(uniq)*dim]}
 	gb.Zero()
 	for r := 0; r < bs; r++ {
 		drow := dInput.Row(r)

@@ -43,22 +43,14 @@ func benchTrainer(b *testing.B, reg *obs.Registry) *Trainer {
 }
 
 // BenchmarkWorkerIteration measures one worker's mini-batch step — the unit
-// the simulated training loop repeats millions of times. The allocs/op
-// figure guards the generation-stamped batch dedup: the map-based dedup it
-// replaced rehashed every (sample, field) edge and showed up as both time
-// and steady-state allocations.
+// the simulated training loop repeats millions of times — followed by the
+// table Commit that Run issues after every iteration. Without the Commit the
+// shard's queue arena would grow on every call, and allocs/op would time
+// that growth instead of the step. The allocs/op figure pins the
+// steady-state step: batch dedup, gather, scatter and queueing reuse their
+// buffers.
 func BenchmarkWorkerIteration(b *testing.B) {
-	tr := benchTrainer(b, nil)
-	w := tr.workers[0]
-	w.startEpoch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.hasWork() {
-			w.startEpoch()
-		}
-		w.runIteration()
-	}
+	benchIterations(b, benchTrainer(b, nil))
 }
 
 // BenchmarkWorkerIterationObs is the same step with the metrics registry
@@ -66,7 +58,12 @@ func BenchmarkWorkerIteration(b *testing.B) {
 // counters, every transfer ticks the fabric ledger metrics. The acceptance
 // bar is ≤5% over BenchmarkWorkerIteration.
 func BenchmarkWorkerIterationObs(b *testing.B) {
-	tr := benchTrainer(b, obs.NewRegistry(cluster.EightGPUQPI().NumWorkers()))
+	benchIterations(b, benchTrainer(b, obs.NewRegistry(cluster.EightGPUQPI().NumWorkers())))
+}
+
+// benchIterations times worker 0's iteration plus the Commit that drains
+// what it queued.
+func benchIterations(b *testing.B, tr *Trainer) {
 	w := tr.workers[0]
 	w.startEpoch()
 	b.ReportAllocs()
@@ -76,5 +73,6 @@ func BenchmarkWorkerIterationObs(b *testing.B) {
 			w.startEpoch()
 		}
 		w.runIteration()
+		tr.table.Commit()
 	}
 }
