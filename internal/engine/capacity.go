@@ -35,7 +35,7 @@ func (t *Trainer) Footprint() obs.Footprint {
 		dedup += w.dedup.Bytes()
 		p := &w.prep
 		prep += int64(cap(p.uniq))*4 + int64(cap(p.batchIdx))*4 + int64(cap(p.labels))*4
-		gather += bufBytes(w.embBuf) + bufBytes(w.input) +
+		gather += bufBytes(w.embBuf) + bufBytes(w.input) + bufBytes(w.dInput) +
 			int64(cap(w.dLogit))*4 + int64(cap(w.iterHostBytes))*8 + int64(cap(w.hostVecs))*8 +
 			int64(cap(w.distReadPer)+cap(w.distUpdPer))*ownerEntry
 		order += int64(cap(w.order)) * 4

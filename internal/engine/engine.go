@@ -343,7 +343,9 @@ type Trainer struct {
 
 	workers []*worker
 	// denseGrad[w] is worker w's flattened dense gradient for the current
-	// iteration; denseAvg is the AllReduce result.
+	// iteration: its model state's first shard writes its weight gradients
+	// there in place, and Grads adds the other shards' into it. denseAvg is
+	// the AllReduce result.
 	denseGrad [][]float32
 	denseAvg  []float32
 
@@ -421,8 +423,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	rng := xrand.New(cfg.Seed ^ 0xe4917e4917e4917e)
 	for w := 0; w < n; w++ {
-		t.workers = append(t.workers, newWorker(w, t, shards[w], rng.Split()))
 		t.denseGrad = append(t.denseGrad, make([]float32, cfg.Model.ParamCount()))
+		t.workers = append(t.workers, newWorker(w, t, shards[w], rng.Split()))
 	}
 	t.initObs()
 	return t, nil

@@ -20,7 +20,8 @@ func (t *Trainer) Evaluate() float64 {
 		n = cfg.EvalSamples
 	}
 	if t.evalState == nil {
-		t.evalState = t.model.NewState(evalBatch)
+		// Forward-only: no gradient buffer is allocated.
+		t.evalState = t.model.NewState(evalBatch, nil, nil)
 		t.evalInput = tensor.NewMatrix(evalBatch, t.model.InputDim())
 		t.evalScores = make([]float32, 0, n)
 		t.evalLabels = make([]float32, 0, n)

@@ -39,6 +39,9 @@ type worker struct {
 	embBuf *tensor.Matrix
 	input  *tensor.Matrix // batch × (fields·dim)
 	dLogit []float32
+	// dInput is the input gradient the scatter-add reads. The model state
+	// holds views of it: each 64-row shard's backward writes its own rows.
+	dInput *tensor.Matrix
 
 	// Per-iteration outputs.
 	iterTime    float64
@@ -114,13 +117,14 @@ func newWorker(id int, t *Trainer, samples []int32, rng *xrand.RNG) *worker {
 		id:     id,
 		t:      t,
 		rng:    rng,
-		state:  t.model.NewState(b),
 		dedup:  idmap.New(b * fields),
 		embBuf: tensor.NewMatrix(b*fields, cfg.Dim),
 		input:  tensor.NewMatrix(b, fields*cfg.Dim),
 		dLogit: make([]float32, b),
+		dInput: tensor.NewMatrix(b, fields*cfg.Dim),
 		prep:   newBatchPrep(b, fields),
 	}
+	w.state = t.model.NewState(b, w.dInput, t.denseGrad[id])
 	if cfg.PS != nil {
 		w.iterHostBytes = make([]int64, cfg.PS.Hosts)
 		w.hostVecs = make([]int, cfg.PS.Hosts)

@@ -76,3 +76,16 @@ func benchIterations(b *testing.B, tr *Trainer) {
 		tr.table.Commit()
 	}
 }
+
+// BenchmarkTrainerEvaluate measures one Evaluate pass over the fixture's
+// test split: 512-row forwards through the forward-only eval state, which
+// the first call builds, then the AUC.
+func BenchmarkTrainerEvaluate(b *testing.B) {
+	tr := benchTrainer(b, nil)
+	tr.Evaluate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Evaluate()
+	}
+}

@@ -68,29 +68,28 @@ func (m *DeepFM) InputDim() int { return m.fields * m.dim }
 func (m *DeepFM) ParamCount() int { return m.params }
 
 type deepFMState struct {
-	maxBatch  int
-	wide      *linearState
-	deep      []*linearState
-	fieldSum  *tensor.Matrix // per-sample Σ_f v_{f,d} (batch × dim)
-	dLogitMat *tensor.Matrix
-	dInput    *tensor.Matrix
-	logits    []float32
-	input     *tensor.Matrix // saved forward input for the FM backward
+	maxBatch int
+	wide     *linearState
+	deep     *towerState
+	fieldSum *tensor.Matrix // per-sample Σ_f v_{f,d} (batch × dim)
+	logits   []float32
+	input    *tensor.Matrix // saved forward input for the FM backward
+	grads    []float32      // NewState's; nil in a forward-only state
 }
 
-// NewState implements Network.
-func (m *DeepFM) NewState(maxBatch int) State {
+// NewState implements Network. The gradient layout is the wide head's, then
+// each deep layer's.
+func (m *DeepFM) NewState(maxBatch int, dInput *tensor.Matrix, grads []float32) State {
+	checkDests(m, maxBatch, dInput, grads)
 	st := &deepFMState{
-		maxBatch:  maxBatch,
-		wide:      newLinearState(m.wide, maxBatch, false),
-		fieldSum:  tensor.NewMatrix(maxBatch, m.dim),
-		dLogitMat: tensor.NewMatrix(maxBatch, 1),
-		dInput:    tensor.NewMatrix(maxBatch, m.InputDim()),
-		logits:    make([]float32, maxBatch),
+		maxBatch: maxBatch,
+		fieldSum: tensor.NewMatrix(maxBatch, m.dim),
+		logits:   make([]float32, maxBatch),
+		grads:    grads,
 	}
-	for i, l := range m.deep {
-		st.deep = append(st.deep, newLinearState(l, maxBatch, i < len(m.deep)-1))
-	}
+	st.wide, grads = newLinearState(m.wide, maxBatch, false, grads)
+	st.deep, grads = newTowerState(m.deep, maxBatch, false, dInput, grads)
+	checkLayoutEnd(grads, "DeepFM")
 	return st
 }
 
@@ -125,38 +124,25 @@ func (m *DeepFM) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 		st.logits[r] = wide.At(r, 0) + fm
 	}
 
-	cur := input
-	var out *tensor.Matrix
-	for i, l := range m.deep {
-		out = l.forward(st.deep[i], cur, rows)
-		cur = out
-	}
+	out := forwardTower(m.deep, st.deep, input, rows)
 	for r := 0; r < rows; r++ {
 		st.logits[r] += out.At(r, 0)
 	}
 	return st.logits[:rows]
 }
 
-// Backward implements Network.
+// Backward implements Network: the deep tower's first layer writes dInput,
+// then the wide head and the FM term add theirs, in that order. Neither last
+// layer has a ReLU, so dLogit is read, never written.
 func (m *DeepFM) Backward(s State, dLogit []float32) *tensor.Matrix {
 	st := s.(*deepFMState)
+	mustTrain(st.grads != nil, "DeepFM.Backward")
 	rows := len(dLogit)
 
-	// Deep tower.
-	dMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
-	copy(dMat.Data, dLogit)
-	cur := dMat
-	for i := len(m.deep) - 1; i >= 0; i-- {
-		cur = m.deep[i].backward(st.deep[i], cur)
-	}
-	dInput := &tensor.Matrix{Rows: rows, Cols: m.InputDim(), Data: st.dInput.Data[:rows*m.InputDim()]}
-	copy(dInput.Data, cur.Data)
-
-	// Wide head shares the logit gradient.
-	wMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
-	copy(wMat.Data, dLogit)
-	dWide := m.wide.backward(st.wide, wMat)
-	tensor.Add(dWide.Data, dInput.Data)
+	dMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: dLogit}
+	dInput := backwardTower(m.deep, st.deep, dMat)
+	m.wide.backward(st.wide, dMat, nil)
+	addHeadGrad(m.wide, dLogit, dInput)
 
 	// FM second order: ∂fm/∂v_{f,d} = Σ_f' v_{f',d} − v_{f,d}.
 	for r := 0; r < rows; r++ {
@@ -175,14 +161,7 @@ func (m *DeepFM) Backward(s State, dLogit []float32) *tensor.Matrix {
 
 // Grads implements Network.
 func (m *DeepFM) Grads(s State, dst []float32) {
-	st := s.(*deepFMState)
-	buf := st.wide.flattenGrads(dst[:0])
-	for _, ls := range st.deep {
-		buf = ls.flattenGrads(buf)
-	}
-	if len(buf) != m.params {
-		panic(fmt.Sprintf("nn: DeepFM grads flattened to %d, want %d", len(buf), m.params))
-	}
+	copyGrads(s.(*deepFMState).grads, dst, "DeepFM.Grads")
 }
 
 // ApplyDense implements Network.

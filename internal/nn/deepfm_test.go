@@ -23,7 +23,7 @@ func TestDeepFMSecondOrderExact(t *testing.T) {
 	m := NewDeepFM(DeepFMConfig{Fields: 3, Dim: 2, Hidden: []int{4}, Seed: 3})
 	zero := make([]float32, m.ParamCount())
 	m.LoadParams(zero) // wide and deep contribute nothing
-	st := m.NewState(1)
+	st := newTrainState(m, 1)
 	input := tensor.NewMatrix(1, 6)
 	copy(input.Data, []float32{1, 2, 3, 4, 5, 6}) // v0=(1,2) v1=(3,4) v2=(5,6)
 	logit := m.Forward(st, input, 1)[0]
@@ -48,7 +48,7 @@ func TestDeepFMName(t *testing.T) {
 func TestDeepFMTrains(t *testing.T) {
 	m := NewDeepFM(DeepFMConfig{Fields: 3, Dim: 4, Hidden: []int{8}, Seed: 11})
 	// Reuse the shared loss-decrease harness from model_test.go manually.
-	st := m.NewState(32)
+	st := newTrainState(m, 32)
 	input := tensor.NewMatrix(32, m.InputDim())
 	labels := make([]float32, 32)
 	for i := range input.Data {

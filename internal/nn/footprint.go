@@ -6,9 +6,11 @@ import (
 )
 
 // StateBytes reports the allocated byte footprint of a State produced by
-// NewState. All built-in model states implement the sizing hook; unknown
-// State implementations report 0. Saved input *views* (aliases of buffers
-// owned elsewhere) are never counted — only allocations the state owns.
+// NewState: each backing array the state owns, counted once. All built-in
+// model states implement the sizing hook; unknown State implementations
+// report 0. Views of buffers owned elsewhere — saved inputs, the dInput and
+// grads NewState was given, a Parallel shard's rows of dInput and its
+// gradient vector — are never counted.
 func StateBytes(st State) int64 {
 	if s, ok := st.(interface{ stateBytes() int64 }); ok {
 		return s.stateBytes()
@@ -24,53 +26,58 @@ func matBytes(m *tensor.Matrix) int64 {
 }
 
 func (st *linearState) stateBytes() int64 {
-	// st.in is a saved view of the previous layer's output, not owned here.
-	return matBytes(st.out) + matBytes(st.dIn) + matBytes(st.dW) +
-		int64(len(st.dB))*4 + int64(len(st.mask))*4
+	// st.in is a saved view of the previous layer's output; dW and dB are
+	// views into the model state's gradient vector.
+	return matBytes(st.out) + int64(len(st.mask))*4
+}
+
+func (t *towerState) stateBytes() int64 {
+	var total int64
+	for _, l := range t.layers {
+		total += l.stateBytes()
+	}
+	if len(t.dIns) > 0 {
+		// dIns[0] is the model's dInput.
+		for _, m := range t.dIns[1:] {
+			total += matBytes(m)
+		}
+	}
+	return total
 }
 
 func (st *wdlState) stateBytes() int64 {
-	total := st.wide.stateBytes() + matBytes(st.dLogitMat) + matBytes(st.dInput) +
-		int64(len(st.logits))*4
-	for _, l := range st.deep {
-		total += l.stateBytes()
-	}
-	return total
+	return st.wide.stateBytes() + st.deep.stateBytes() + int64(len(st.logits))*4
 }
 
 func (st *dcnState) stateBytes() int64 {
-	total := matBytes(st.dCross) + matBytes(st.dX0) + matBytes(st.comb) + matBytes(st.dComb) +
-		matBytes(st.dLogitMat) + matBytes(st.dInput) + int64(len(st.logits))*4
-	for _, m := range st.xs {
+	// xs[0] is a view of Forward's input; dW and dB are views into grads.
+	total := matBytes(st.comb) + matBytes(st.dComb) + matBytes(st.dCross) + matBytes(st.dDeep) +
+		matBytes(st.dX0) + int64(len(st.logits))*4
+	for _, m := range st.xs[1:] {
 		total += matBytes(m)
 	}
-	for i := range st.ss {
-		total += int64(len(st.ss[i]))*4 + int64(len(st.dW[i]))*4 + int64(len(st.dB[i]))*4
+	for _, s := range st.ss {
+		total += int64(len(s)) * 4
 	}
-	for _, l := range st.deep {
-		total += l.stateBytes()
-	}
-	total += st.final.stateBytes()
-	return total
+	return total + st.deep.stateBytes() + st.final.stateBytes()
 }
 
 func (st *deepFMState) stateBytes() int64 {
 	// st.input is a saved view of the engine's gather buffer, not owned here.
-	total := st.wide.stateBytes() + matBytes(st.fieldSum) + matBytes(st.dLogitMat) +
-		matBytes(st.dInput) + int64(len(st.logits))*4
-	for _, l := range st.deep {
-		total += l.stateBytes()
-	}
-	return total
+	return st.wide.stateBytes() + st.deep.stateBytes() + matBytes(st.fieldSum) +
+		int64(len(st.logits))*4
 }
 
 func (st *parallelState) stateBytes() int64 {
-	total := int64(len(st.logits))*4 + matBytes(st.dInput)
+	total := int64(len(st.logits)) * 4
 	for _, sh := range st.shards {
 		total += StateBytes(sh)
 	}
-	for _, f := range st.flat {
-		total += int64(len(f)) * 4
+	if len(st.flat) > 0 {
+		// flat[0] is NewState's grads.
+		for _, f := range st.flat[1:] {
+			total += int64(len(f)) * 4
+		}
 	}
 	return total
 }

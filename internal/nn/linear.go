@@ -5,8 +5,9 @@
 //
 // Weights are held once per cluster in a Network (the engine synchronises
 // dense gradients with AllReduce, so every worker's replica is identical by
-// construction); per-worker activation and gradient buffers live in a State
-// so workers can run forward/backward concurrently.
+// construction); per-worker activation buffers live in a State so workers
+// can run forward/backward concurrently, and each State writes its
+// gradients into destinations its caller owns (Network.NewState).
 package nn
 
 import (
@@ -40,45 +41,60 @@ func NewLinear(in, out int, rng *xrand.RNG) *Linear {
 // ParamCount returns the number of scalar parameters.
 func (l *Linear) ParamCount() int { return l.In*l.Out + l.Out }
 
-// linearState holds one worker's buffers for one Linear layer.
+// linearState holds one worker's buffers for one Linear layer. A layer owns
+// only its output and ReLU mask: dW and dB are views into the model state's
+// flat gradient vector, and the input gradient goes wherever backward is told
+// to write it. A forward-only state has no mask, dW or dB.
 type linearState struct {
 	in   *tensor.Matrix // saved input (view of previous layer's output)
 	out  *tensor.Matrix
-	dIn  *tensor.Matrix
+	relu bool      // the layer is followed by a ReLU
+	mask []float32 // the ReLU's mask, recorded by forward for backward
 	dW   *tensor.Matrix
 	dB   []float32
-	mask []float32 // ReLU mask when the layer is followed by an activation
 }
 
-func newLinearState(l *Linear, maxBatch int, relu bool) *linearState {
-	st := &linearState{
-		out: tensor.NewMatrix(maxBatch, l.Out),
-		dIn: tensor.NewMatrix(maxBatch, l.In),
-		dW:  tensor.NewMatrix(l.In, l.Out),
-		dB:  make([]float32, l.Out),
+// newLinearState allocates the layer's output (and ReLU mask when it trains)
+// and, unless grads is nil, points dW and dB at the head of grads — W's
+// gradient row-major, then B's, the order flatten writes the parameters in.
+// It returns the rest of grads for the next layer.
+func newLinearState(l *Linear, maxBatch int, relu bool, grads []float32) (*linearState, []float32) {
+	st := &linearState{out: tensor.NewMatrix(maxBatch, l.Out), relu: relu}
+	if grads == nil {
+		return st, nil
 	}
 	if relu {
 		st.mask = make([]float32, maxBatch*l.Out)
 	}
-	return st
+	n := l.In * l.Out
+	st.dW = &tensor.Matrix{Rows: l.In, Cols: l.Out, Data: grads[:n:n]}
+	st.dB = grads[n : n+l.Out : n+l.Out]
+	return st, grads[n+l.Out:]
 }
 
-// forward computes out = in·W + b (+ ReLU when the layer has a mask) for
-// the first rows rows of in.
+// forward computes out = in·W + b (+ ReLU when the layer has one) for the
+// first rows rows of in. A training state records the ReLU mask for backward.
 func (l *Linear) forward(st *linearState, in *tensor.Matrix, rows int) *tensor.Matrix {
 	st.in = in
 	out := &tensor.Matrix{Rows: rows, Cols: l.Out, Data: st.out.Data[:rows*l.Out]}
 	inView := &tensor.Matrix{Rows: rows, Cols: l.In, Data: in.Data[:rows*l.In]}
 	tensor.MatMul(out, inView, l.W)
 	tensor.AddBias(out, l.B)
-	if st.mask != nil {
-		tensor.ReLU(out, st.mask[:rows*l.Out])
+	if st.relu {
+		var mask []float32
+		if st.mask != nil {
+			mask = st.mask[:rows*l.Out]
+		}
+		tensor.ReLU(out, mask)
 	}
 	return out
 }
 
-// backward consumes dOut, accumulates dW/dB, and returns dIn.
-func (l *Linear) backward(st *linearState, dOut *tensor.Matrix) *tensor.Matrix {
+// backward consumes dOut and writes dW and dB. With a non-nil dIn it also
+// writes the input gradient dOut·Wᵀ into dIn's first rows rows and returns
+// that view; with nil it returns nil, for a head whose model adds the input
+// gradient itself.
+func (l *Linear) backward(st *linearState, dOut, dIn *tensor.Matrix) *tensor.Matrix {
 	rows := dOut.Rows
 	if st.mask != nil {
 		tensor.ReLUBackward(dOut, st.mask[:rows*l.Out])
@@ -91,9 +107,12 @@ func (l *Linear) backward(st *linearState, dOut *tensor.Matrix) *tensor.Matrix {
 	for r := 0; r < rows; r++ {
 		tensor.Add(dOut.Row(r), st.dB)
 	}
-	dIn := &tensor.Matrix{Rows: rows, Cols: l.In, Data: st.dIn.Data[:rows*l.In]}
-	tensor.MatMul(dIn, dOut, l.wt)
-	return dIn
+	if dIn == nil {
+		return nil
+	}
+	view := &tensor.Matrix{Rows: rows, Cols: l.In, Data: dIn.Data[:rows*l.In]}
+	tensor.MatMul(view, dOut, l.wt)
+	return view
 }
 
 // flatten appends the layer's parameters to dst and returns it.
@@ -111,14 +130,109 @@ func (l *Linear) unflatten(src []float32) []float32 {
 	return src[len(l.B):]
 }
 
-func (st *linearState) flattenGrads(dst []float32) []float32 {
-	dst = append(dst, st.dW.Data...)
-	return append(dst, st.dB...)
-}
-
 // checkBatch panics when a caller exceeds the state's allocated batch size.
 func checkBatch(rows, maxBatch int) {
 	if rows > maxBatch {
 		panic(fmt.Sprintf("nn: batch of %d rows exceeds state capacity %d", rows, maxBatch))
+	}
+}
+
+// towerState is one worker's state for a stack of Linear layers, layer i
+// feeding layer i+1. Backward writes layer i's input gradient into dIns[i]:
+// dIns[0] is the model's dInput, so the first layer writes the gradient the
+// embeddings consume directly; the others are the tower's own. dIns is nil
+// in a forward-only state.
+type towerState struct {
+	layers []*linearState
+	dIns   []*tensor.Matrix
+}
+
+// newTowerState builds the state of the tower ls. Every layer but the last
+// has a ReLU; the last one has one when reluLast. The layers' dW and dB are
+// views into grads in order, and the rest of grads is returned.
+func newTowerState(ls []*Linear, maxBatch int, reluLast bool, dInput *tensor.Matrix, grads []float32) (*towerState, []float32) {
+	t := &towerState{}
+	for i, l := range ls {
+		var st *linearState
+		st, grads = newLinearState(l, maxBatch, reluLast || i < len(ls)-1, grads)
+		t.layers = append(t.layers, st)
+		switch {
+		case dInput == nil:
+		case i == 0:
+			t.dIns = append(t.dIns, dInput)
+		default:
+			t.dIns = append(t.dIns, tensor.NewMatrix(maxBatch, l.In))
+		}
+	}
+	return t, grads
+}
+
+// forwardTower runs in through the tower and returns the last layer's output.
+func forwardTower(ls []*Linear, t *towerState, in *tensor.Matrix, rows int) *tensor.Matrix {
+	for i, l := range ls {
+		in = l.forward(t.layers[i], in, rows)
+	}
+	return in
+}
+
+// backwardTower propagates dOut down the tower and returns the first
+// layer's input gradient: a view of the model's dInput.
+func backwardTower(ls []*Linear, t *towerState, dOut *tensor.Matrix) *tensor.Matrix {
+	for i := len(ls) - 1; i >= 0; i-- {
+		dOut = ls[i].backward(t.layers[i], dOut, t.dIns[i])
+	}
+	return dOut
+}
+
+// addHeadGrad adds a one-output head's input gradient, dLogit[r]·wᵀ, to row
+// r of dInput. It has the bits of the rows×1·1×In GEMM plus Add it replaces:
+// that GEMM computes +0 + p, which is p unless p = −0, and x + (+0) differs
+// from x + (−0) only for x = −0 — which dInput never holds, because the first
+// deep layer wrote it as a GEMM sum that starts from +0 (DESIGN §14).
+func addHeadGrad(head *Linear, dLogit []float32, dInput *tensor.Matrix) {
+	for r, g := range dLogit {
+		tensor.Axpy(g, head.W.Data, dInput.Row(r))
+	}
+}
+
+// checkDests validates the destinations a NewState was given: both nil for
+// a forward-only state, or a dInput of at least maxBatch rows × InputDim and
+// a grads of exactly ParamCount elements.
+func checkDests(net Network, maxBatch int, dInput *tensor.Matrix, grads []float32) {
+	if dInput == nil && grads == nil {
+		return
+	}
+	d := net.InputDim()
+	if dInput == nil || grads == nil || dInput.Cols != d || dInput.Rows < maxBatch ||
+		len(dInput.Data) < maxBatch*d || len(grads) != net.ParamCount() {
+		panic(fmt.Sprintf("nn: %s.NewState(%d) needs a dInput of ≥%d×%d and %d grads, or neither",
+			net.Name(), maxBatch, maxBatch, d, net.ParamCount()))
+	}
+}
+
+// checkLayoutEnd panics unless a model's layers viewed all of its gradient
+// vector: rest is what is left of it after the last layer.
+func checkLayoutEnd(rest []float32, model string) {
+	if len(rest) != 0 {
+		panic(fmt.Sprintf("nn: %s's layers leave %d of its gradient vector unused", model, len(rest)))
+	}
+}
+
+// mustTrain panics when a forward-only state reaches a training call.
+func mustTrain(trains bool, call string) {
+	if !trains {
+		panic("nn: " + call + " on a forward-only state (NewState got no dInput or grads)")
+	}
+}
+
+// copyGrads is Grads for a model state whose layers write into grads: dst
+// is that vector when the caller gave it to NewState, else it gets a copy.
+func copyGrads(grads, dst []float32, call string) {
+	mustTrain(grads != nil, call)
+	if len(dst) < len(grads) {
+		panic(fmt.Sprintf("nn: %s dst of %d, want %d", call, len(dst), len(grads)))
+	}
+	if &dst[0] != &grads[0] {
+		copy(dst, grads)
 	}
 }

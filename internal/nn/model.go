@@ -17,18 +17,26 @@ type Network interface {
 	// InputDim is the concatenated embedding width the model consumes
 	// (fields × embedding dim).
 	InputDim() int
-	// NewState allocates per-worker forward/backward buffers.
-	NewState(maxBatch int) State
+	// NewState allocates one worker's forward/backward buffers for batches
+	// of up to maxBatch rows. It takes the destinations the gradients are
+	// consumed from: Backward writes the input gradient into dInput's first
+	// rows (dInput has ≥ maxBatch rows × InputDim) and the weight gradients
+	// into grads (len ParamCount, laid out as Grads writes them). The state
+	// holds views of both and owns neither. With both nil the state is
+	// forward-only: it allocates no gradient buffer, and Backward and Grads
+	// on it panic.
+	NewState(maxBatch int, dInput *tensor.Matrix, grads []float32) State
 	// Forward computes logits for the first rows rows of input
-	// (rows × InputDim).
+	// (rows × InputDim). The state keeps views of input until Backward.
 	Forward(st State, input *tensor.Matrix, rows int) []float32
 	// Backward propagates dLogit (length rows) and returns the gradient
-	// with respect to the input embeddings (rows × InputDim). Weight
-	// gradients accumulate in st.
+	// with respect to the input embeddings: a rows × InputDim view of the
+	// state's dInput.
 	Backward(st State, dLogit []float32) *tensor.Matrix
 	// ParamCount is the number of dense scalars (the AllReduce payload).
 	ParamCount() int
-	// Grads flattens st's weight gradients into dst (len ParamCount).
+	// Grads makes dst (len ParamCount) hold st's weight gradients. It does
+	// nothing more when dst is the grads the state was built with.
 	Grads(st State, dst []float32)
 	// ApplyDense applies a flattened gradient with the given step function.
 	ApplyDense(step func(params, grad []float32), grad []float32)
@@ -99,27 +107,21 @@ func (m *WDL) InputDim() int { return m.fields * m.dim }
 func (m *WDL) ParamCount() int { return m.params }
 
 type wdlState struct {
-	maxBatch  int
-	wide      *linearState
-	deep      []*linearState
-	dLogitMat *tensor.Matrix
-	dInput    *tensor.Matrix
-	logits    []float32
+	maxBatch int
+	wide     *linearState
+	deep     *towerState
+	logits   []float32
+	grads    []float32 // NewState's; nil in a forward-only state
 }
 
-// NewState implements Network.
-func (m *WDL) NewState(maxBatch int) State {
-	st := &wdlState{
-		maxBatch:  maxBatch,
-		wide:      newLinearState(m.wide, maxBatch, false),
-		dLogitMat: tensor.NewMatrix(maxBatch, 1),
-		dInput:    tensor.NewMatrix(maxBatch, m.InputDim()),
-		logits:    make([]float32, maxBatch),
-	}
-	for i, l := range m.deep {
-		relu := i < len(m.deep)-1
-		st.deep = append(st.deep, newLinearState(l, maxBatch, relu))
-	}
+// NewState implements Network. The gradient layout is the wide head's, then
+// each deep layer's.
+func (m *WDL) NewState(maxBatch int, dInput *tensor.Matrix, grads []float32) State {
+	checkDests(m, maxBatch, dInput, grads)
+	st := &wdlState{maxBatch: maxBatch, logits: make([]float32, maxBatch), grads: grads}
+	st.wide, grads = newLinearState(m.wide, maxBatch, false, grads)
+	st.deep, grads = newTowerState(m.deep, maxBatch, false, dInput, grads)
+	checkLayoutEnd(grads, "WDL")
 	return st
 }
 
@@ -128,51 +130,29 @@ func (m *WDL) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 	st := s.(*wdlState)
 	checkBatch(rows, st.maxBatch)
 	wide := m.wide.forward(st.wide, input, rows)
-	cur := input
-	var out *tensor.Matrix
-	for i, l := range m.deep {
-		out = l.forward(st.deep[i], cur, rows)
-		cur = out
-	}
+	out := forwardTower(m.deep, st.deep, input, rows)
 	for r := 0; r < rows; r++ {
 		st.logits[r] = wide.At(r, 0) + out.At(r, 0)
 	}
 	return st.logits[:rows]
 }
 
-// Backward implements Network.
+// Backward implements Network: the deep tower's first layer writes dInput,
+// then the wide head, which shares dLogit, adds its input gradient to it.
+// Neither last layer has a ReLU, so dLogit is read, never written.
 func (m *WDL) Backward(s State, dLogit []float32) *tensor.Matrix {
 	st := s.(*wdlState)
-	rows := len(dLogit)
-	dMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
-	copy(dMat.Data, dLogit)
-
-	// Deep tower.
-	cur := dMat
-	for i := len(m.deep) - 1; i >= 0; i-- {
-		cur = m.deep[i].backward(st.deep[i], cur)
-	}
-	dInput := &tensor.Matrix{Rows: rows, Cols: m.InputDim(), Data: st.dInput.Data[:rows*m.InputDim()]}
-	copy(dInput.Data, cur.Data)
-
-	// Wide tower shares the same dLogit.
-	wMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
-	copy(wMat.Data, dLogit)
-	dWide := m.wide.backward(st.wide, wMat)
-	tensor.Add(dWide.Data, dInput.Data)
+	mustTrain(st.grads != nil, "WDL.Backward")
+	dMat := &tensor.Matrix{Rows: len(dLogit), Cols: 1, Data: dLogit}
+	dInput := backwardTower(m.deep, st.deep, dMat)
+	m.wide.backward(st.wide, dMat, nil)
+	addHeadGrad(m.wide, dLogit, dInput)
 	return dInput
 }
 
 // Grads implements Network.
 func (m *WDL) Grads(s State, dst []float32) {
-	st := s.(*wdlState)
-	buf := st.wide.flattenGrads(dst[:0])
-	for _, ls := range st.deep {
-		buf = ls.flattenGrads(buf)
-	}
-	if len(buf) != m.params {
-		panic(fmt.Sprintf("nn: WDL grads flattened to %d, want %d", len(buf), m.params))
-	}
+	copyGrads(s.(*wdlState).grads, dst, "WDL.Grads")
 }
 
 // ApplyDense implements Network.
@@ -278,53 +258,61 @@ func (m *DCN) ParamCount() int { return m.params }
 
 type dcnState struct {
 	maxBatch int
-	// xs[l] is the cross tower input of layer l (xs[0] = x₀);
-	// xs[len] is the final cross output.
-	xs     []*tensor.Matrix
-	ss     [][]float32 // ss[l][r] = x_l·w_l per sample
+	// xs[l] is the cross tower input of layer l; xs[len] is the final cross
+	// output. xs[0] = x₀ is a view of Forward's input rows.
+	xs []*tensor.Matrix
+	ss [][]float32 // ss[l][r] = x_l·w_l per sample
+
+	deep  *towerState
+	final *linearState
+	comb  *tensor.Matrix // concat(crossOut, deepOut)
+
+	logits []float32
+	grads  []float32 // NewState's; nil in a forward-only state
+
+	// Backward's own buffers, nil in a forward-only state. dW and dB are
+	// views into grads.
+	dComb  *tensor.Matrix // the final layer's input gradient, split into:
 	dCross *tensor.Matrix
+	dDeep  *tensor.Matrix
 	dX0    *tensor.Matrix
 	dW     [][]float32
 	dB     [][]float32
-
-	deep  []*linearState
-	final *linearState
-	comb  *tensor.Matrix // concat(crossOut, deepOut)
-	dComb *tensor.Matrix
-
-	dLogitMat *tensor.Matrix
-	dInput    *tensor.Matrix
-	logits    []float32
 }
 
-// NewState implements Network.
-func (m *DCN) NewState(maxBatch int) State {
+// NewState implements Network. The gradient layout is each cross layer's
+// (w, then b), then each deep layer's, then the final layer's.
+func (m *DCN) NewState(maxBatch int, dInput *tensor.Matrix, grads []float32) State {
+	checkDests(m, maxBatch, dInput, grads)
 	d := m.InputDim()
-	st := &dcnState{
-		maxBatch:  maxBatch,
-		dCross:    tensor.NewMatrix(maxBatch, d),
-		dX0:       tensor.NewMatrix(maxBatch, d),
-		dLogitMat: tensor.NewMatrix(maxBatch, 1),
-		dInput:    tensor.NewMatrix(maxBatch, d),
-		logits:    make([]float32, maxBatch),
-	}
-	for range m.crossW {
-		st.ss = append(st.ss, make([]float32, maxBatch))
-		st.dW = append(st.dW, make([]float32, d))
-		st.dB = append(st.dB, make([]float32, d))
-	}
-	for l := 0; l <= len(m.crossW); l++ {
-		st.xs = append(st.xs, tensor.NewMatrix(maxBatch, d))
-	}
-	for _, l := range m.deep {
-		// Every deep-tower layer keeps a ReLU: the final projection to the
-		// logit happens in the combination layer.
-		st.deep = append(st.deep, newLinearState(l, maxBatch, true))
-	}
-	st.final = newLinearState(m.final, maxBatch, false)
 	deepOut := m.deep[len(m.deep)-1].Out
-	st.comb = tensor.NewMatrix(maxBatch, d+deepOut)
-	st.dComb = tensor.NewMatrix(maxBatch, d+deepOut)
+	st := &dcnState{
+		maxBatch: maxBatch,
+		xs:       make([]*tensor.Matrix, len(m.crossW)+1),
+		comb:     tensor.NewMatrix(maxBatch, d+deepOut),
+		logits:   make([]float32, maxBatch),
+		grads:    grads,
+	}
+	for l := range m.crossW {
+		st.ss = append(st.ss, make([]float32, maxBatch))
+		st.xs[l+1] = tensor.NewMatrix(maxBatch, d)
+	}
+	if grads != nil {
+		st.dComb = tensor.NewMatrix(maxBatch, d+deepOut)
+		st.dCross = tensor.NewMatrix(maxBatch, d)
+		st.dDeep = tensor.NewMatrix(maxBatch, deepOut)
+		st.dX0 = tensor.NewMatrix(maxBatch, d)
+		for range m.crossW {
+			st.dW = append(st.dW, grads[:d:d])
+			st.dB = append(st.dB, grads[d:2*d:2*d])
+			grads = grads[2*d:]
+		}
+	}
+	// Every deep-tower layer keeps a ReLU: the final projection to the
+	// logit happens in the combination layer.
+	st.deep, grads = newTowerState(m.deep, maxBatch, true, dInput, grads)
+	st.final, grads = newLinearState(m.final, maxBatch, false, grads)
+	checkLayoutEnd(grads, "DCN")
 	return st
 }
 
@@ -335,7 +323,7 @@ func (m *DCN) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 	d := m.InputDim()
 
 	// Cross tower.
-	copy(st.xs[0].Data[:rows*d], input.Data[:rows*d])
+	st.xs[0] = &tensor.Matrix{Rows: rows, Cols: d, Data: input.Data[:rows*d]}
 	for l := range m.crossW {
 		w, b := m.crossW[l], m.crossB[l]
 		xl := st.xs[l]
@@ -354,12 +342,7 @@ func (m *DCN) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 	crossOut := st.xs[len(m.crossW)]
 
 	// Deep tower.
-	cur := input
-	var out *tensor.Matrix
-	for i, l := range m.deep {
-		out = l.forward(st.deep[i], cur, rows)
-		cur = out
-	}
+	out := forwardTower(m.deep, st.deep, input, rows)
 
 	// Combine and project.
 	deepOut := m.deep[len(m.deep)-1].Out
@@ -379,30 +362,26 @@ func (m *DCN) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 // Backward implements Network.
 func (m *DCN) Backward(s State, dLogit []float32) *tensor.Matrix {
 	st := s.(*dcnState)
+	mustTrain(st.grads != nil, "DCN.Backward")
 	rows := len(dLogit)
 	d := m.InputDim()
 	deepOut := m.deep[len(m.deep)-1].Out
 
-	dMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: st.dLogitMat.Data[:rows]}
-	copy(dMat.Data, dLogit)
-	dComb := m.final.backward(st.final, dMat)
+	// The final layer has no ReLU, so dLogit is read, never written.
+	dMat := &tensor.Matrix{Rows: rows, Cols: 1, Data: dLogit}
+	dComb := m.final.backward(st.final, dMat, st.dComb)
 
 	// Split the combined gradient.
 	dCross := &tensor.Matrix{Rows: rows, Cols: d, Data: st.dCross.Data[:rows*d]}
-	dDeep := &tensor.Matrix{Rows: rows, Cols: deepOut, Data: st.dComb.Data[:rows*deepOut]}
+	dDeep := &tensor.Matrix{Rows: rows, Cols: deepOut, Data: st.dDeep.Data[:rows*deepOut]}
 	for r := 0; r < rows; r++ {
 		row := dComb.Row(r)
 		copy(dCross.Row(r), row[:d])
 		copy(dDeep.Row(r), row[d:])
 	}
 
-	// Deep tower backward.
-	cur := dDeep
-	for i := len(m.deep) - 1; i >= 0; i-- {
-		cur = m.deep[i].backward(st.deep[i], cur)
-	}
-	dInput := &tensor.Matrix{Rows: rows, Cols: d, Data: st.dInput.Data[:rows*d]}
-	copy(dInput.Data, cur.Data)
+	// Deep tower backward: its first layer writes dInput.
+	dInput := backwardTower(m.deep, st.deep, dDeep)
 
 	// Cross tower backward, accumulating the x₀ contribution separately.
 	dX0 := &tensor.Matrix{Rows: rows, Cols: d, Data: st.dX0.Data[:rows*d]}
@@ -450,19 +429,7 @@ func (m *DCN) Backward(s State, dLogit []float32) *tensor.Matrix {
 
 // Grads implements Network.
 func (m *DCN) Grads(s State, dst []float32) {
-	st := s.(*dcnState)
-	buf := dst[:0]
-	for l := range m.crossW {
-		buf = append(buf, st.dW[l]...)
-		buf = append(buf, st.dB[l]...)
-	}
-	for _, ls := range st.deep {
-		buf = ls.flattenGrads(buf)
-	}
-	buf = st.final.flattenGrads(buf)
-	if len(buf) != m.params {
-		panic(fmt.Sprintf("nn: DCN grads flattened to %d, want %d", len(buf), m.params))
-	}
+	copyGrads(s.(*dcnState).grads, dst, "DCN.Grads")
 }
 
 // ApplyDense implements Network.

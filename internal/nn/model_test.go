@@ -32,7 +32,7 @@ func checkInputGradients(t *testing.T, m Network, rows int, seed uint64) {
 			labels[i] = 1
 		}
 	}
-	st := m.NewState(rows)
+	st := newTrainState(m, rows)
 
 	logits := m.Forward(st, input, rows)
 	dLogit := make([]float32, rows)
@@ -80,7 +80,7 @@ func checkDenseGradients(t *testing.T, m Network, rows int, seed uint64) {
 			labels[i] = 1
 		}
 	}
-	st := m.NewState(rows)
+	st := newTrainState(m, rows)
 	logits := m.Forward(st, input, rows)
 	dLogit := make([]float32, rows)
 	BCEWithLogits(logits, labels, dLogit)
@@ -152,7 +152,7 @@ func TestApplyDenseRoundTrip(t *testing.T) {
 		NewWDL(WDLConfig{Fields: 2, Dim: 3, Hidden: []int{4}, Seed: 7}),
 		NewDCN(DCNConfig{Fields: 2, Dim: 3, Hidden: []int{4}, Seed: 7}),
 	} {
-		st := m.NewState(2)
+		st := newTrainState(m, 2)
 		input := tensor.NewMatrix(2, m.InputDim())
 		for i := range input.Data {
 			input.Data[i] = 0.1 * float32(i%7)
@@ -178,7 +178,7 @@ func TestApplyDenseRoundTrip(t *testing.T) {
 
 func TestApplyDenseChangesOutput(t *testing.T) {
 	m := NewWDL(WDLConfig{Fields: 2, Dim: 3, Hidden: []int{4}, Seed: 7})
-	st := m.NewState(1)
+	st := newTrainState(m, 1)
 	input := tensor.NewMatrix(1, m.InputDim())
 	for i := range input.Data {
 		input.Data[i] = 0.3
@@ -223,7 +223,7 @@ func TestFLOPsPositive(t *testing.T) {
 
 func TestBatchCapacityPanic(t *testing.T) {
 	m := NewWDL(WDLConfig{Fields: 2, Dim: 2, Seed: 1})
-	st := m.NewState(2)
+	st := newTrainState(m, 2)
 	input := tensor.NewMatrix(4, m.InputDim())
 	defer func() {
 		if recover() == nil {
@@ -251,7 +251,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 				labels[i] = 1
 			}
 		}
-		st := m.NewState(rows)
+		st := newTrainState(m, rows)
 		dLogit := make([]float32, rows)
 		grad := make([]float32, m.ParamCount())
 		var first, last float64
@@ -278,7 +278,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 
 func BenchmarkWDLForwardBackward(b *testing.B) {
 	m := NewWDL(WDLConfig{Fields: 26, Dim: 32, Seed: 1})
-	st := m.NewState(256)
+	st := newTrainState(m, 256)
 	input := tensor.NewMatrix(256, m.InputDim())
 	r := xrand.New(1)
 	for i := range input.Data {
@@ -296,7 +296,7 @@ func BenchmarkWDLForwardBackward(b *testing.B) {
 
 func BenchmarkDCNForwardBackward(b *testing.B) {
 	m := NewDCN(DCNConfig{Fields: 26, Dim: 32, Seed: 1})
-	st := m.NewState(256)
+	st := newTrainState(m, 256)
 	input := tensor.NewMatrix(256, m.InputDim())
 	r := xrand.New(1)
 	for i := range input.Data {

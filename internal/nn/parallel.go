@@ -116,8 +116,9 @@ func (p *Pool) Run(n int, fn func(i int)) {
 
 // Parallel wraps a Network with a batch-parallel forward/backward: each
 // mini-batch is split on the fixed DefaultRangeRows grid, every range runs
-// on its own per-range State shard (so no two shards share buffers), and the
-// per-shard weight gradients are reduced in ascending shard order.
+// on its own per-range State shard (so no two shards write the same memory:
+// each writes only its own rows of dInput and its own gradient vector), and
+// the per-shard weight gradients are reduced in ascending shard order.
 //
 // Determinism contract: the result is a pure function of the wrapped network
 // and the grid — never of the pool size, scheduling order, or GOMAXPROCS.
@@ -154,9 +155,16 @@ type parallelState struct {
 	maxBatch int
 	rows     int // rows of the most recent Forward
 	shards   []State
-	flat     [][]float32 // per-shard flattened gradients
-	logits   []float32
-	dInput   *tensor.Matrix
+	// flat[i] is shard i's gradient vector, which its layers write in
+	// place. flat[0] is the grads NewState was given, so Grads reduces into
+	// it in place; the rest are the wrapper's own. nil in a forward-only
+	// state.
+	flat [][]float32
+	// summed: Grads has reduced every shard into flat[0] since the last
+	// Backward, so flat[0] holds the sum and must not be added to again.
+	summed bool
+	logits []float32
+	dInput *tensor.Matrix // NewState's; shard i writes its rows
 }
 
 // Name implements Network.
@@ -182,28 +190,41 @@ func (p *Parallel) FlattenParams(dst []float32) { p.net.FlattenParams(dst) }
 // LoadParams implements Network.
 func (p *Parallel) LoadParams(src []float32) { p.net.LoadParams(src) }
 
-// NewState implements Network: one wrapped State per grid range plus the
-// combined logit/dInput buffers and per-shard gradient scratch.
-func (p *Parallel) NewState(maxBatch int) State {
+// NewState implements Network: one wrapped State per grid range, built on
+// that range's rows of dInput and on its own gradient vector — grads itself
+// for the first range — plus the combined logits.
+func (p *Parallel) NewState(maxBatch int, dInput *tensor.Matrix, grads []float32) State {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
+	checkDests(p, maxBatch, dInput, grads)
 	g := (maxBatch + p.rangeRows - 1) / p.rangeRows
 	st := &parallelState{
 		maxBatch: maxBatch,
 		shards:   make([]State, g),
-		flat:     make([][]float32, g),
 		logits:   make([]float32, maxBatch),
-		dInput:   tensor.NewMatrix(maxBatch, p.net.InputDim()),
+		dInput:   dInput,
 	}
-	params := p.net.ParamCount()
+	if grads != nil {
+		st.flat = make([][]float32, g)
+	}
+	cols := p.net.InputDim()
 	for i := range st.shards {
+		a := i * p.rangeRows
 		rows := p.rangeRows
-		if r := maxBatch - i*p.rangeRows; r < rows {
+		if r := maxBatch - a; r < rows {
 			rows = r
 		}
-		st.shards[i] = p.net.NewState(rows)
-		st.flat[i] = make([]float32, params)
+		if grads == nil {
+			st.shards[i] = p.net.NewState(rows, nil, nil)
+			continue
+		}
+		st.flat[i] = grads
+		if i > 0 {
+			st.flat[i] = make([]float32, len(grads))
+		}
+		view := &tensor.Matrix{Rows: rows, Cols: cols, Data: dInput.Data[a*cols : (a+rows)*cols]}
+		st.shards[i] = p.net.NewState(rows, view, st.flat[i])
 	}
 	return st
 }
@@ -235,24 +256,24 @@ func (p *Parallel) Forward(s State, input *tensor.Matrix, rows int) []float32 {
 }
 
 // Backward implements Network. Ranges are independent for dInput (row
-// math), so each shard backward writes its rows of the combined gradient.
-// Weight gradients stay resident in the shard states until Grads reduces
-// them.
+// math), so each shard backward writes its rows of dInput in place. Weight
+// gradients stay in the shards' vectors until Grads reduces them.
 func (p *Parallel) Backward(s State, dLogit []float32) *tensor.Matrix {
 	st := s.(*parallelState)
+	mustTrain(st.flat != nil, "Parallel.Backward")
 	rows := len(dLogit)
 	if rows != st.rows {
 		panic(fmt.Sprintf("nn: Parallel.Backward rows %d, Forward saw %d", rows, st.rows))
 	}
 	cols := p.net.InputDim()
+	st.summed = false
 	p.pool.Run(p.grid(rows), func(g int) {
 		a := g * p.rangeRows
 		b := a + p.rangeRows
 		if b > rows {
 			b = rows
 		}
-		dIn := p.net.Backward(st.shards[g], dLogit[a:b])
-		copy(st.dInput.Data[a*cols:b*cols], dIn.Data[:(b-a)*cols])
+		p.net.Backward(st.shards[g], dLogit[a:b])
 	})
 	return &tensor.Matrix{Rows: rows, Cols: cols, Data: st.dInput.Data[:rows*cols]}
 }
@@ -263,17 +284,29 @@ func (p *Parallel) Backward(s State, dLogit []float32) *tensor.Matrix {
 // never changes a bit.
 const gradChunk = 4096
 
-// Grads implements Network: flatten every active shard's gradients, then
-// reduce them elementwise in ascending shard order. The reduction is
+// Grads implements Network: hand every active shard its own vector (a
+// no-op for the built-in models, whose layers wrote there), then reduce the
+// vectors elementwise in ascending shard order into dst. The reduction is
 // parallelized over disjoint parameter chunks; the summation order per
-// element is fixed by the grid, not by scheduling.
+// element is fixed by the grid, not by scheduling. When dst is NewState's
+// grads, shard 0's gradients are already in place and the other shards are
+// added to them; once that sum is there, Grads only copies it.
 func (p *Parallel) Grads(s State, dst []float32) {
 	st := s.(*parallelState)
+	mustTrain(st.flat != nil, "Parallel.Grads")
 	params := p.net.ParamCount()
 	if cap(dst) < params {
 		panic(fmt.Sprintf("nn: Parallel.Grads dst cap %d, want %d", cap(dst), params))
 	}
 	dst = dst[:params]
+	inPlace := &dst[0] == &st.flat[0][0]
+	if st.summed {
+		if !inPlace {
+			copy(dst, st.flat[0])
+		}
+		return
+	}
+	st.summed = inPlace
 	g := p.grid(st.rows)
 	if g == 0 {
 		for i := range dst {
@@ -291,7 +324,9 @@ func (p *Parallel) Grads(s State, dst []float32) {
 		if hi > params {
 			hi = params
 		}
-		copy(dst[lo:hi], st.flat[0][lo:hi])
+		if !inPlace {
+			copy(dst[lo:hi], st.flat[0][lo:hi])
+		}
 		for shard := 1; shard < g; shard++ {
 			src := st.flat[shard]
 			out := dst[lo:hi]

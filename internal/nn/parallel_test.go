@@ -16,6 +16,12 @@ func parallelModels() []Network {
 	}
 }
 
+// newTrainState builds a training state on freshly allocated destinations,
+// as the engine does for a worker.
+func newTrainState(net Network, rows int) State {
+	return net.NewState(rows, tensor.NewMatrix(rows, net.InputDim()), make([]float32, net.ParamCount()))
+}
+
 func randBatch(r *xrand.RNG, rows, dim int) (*tensor.Matrix, []float32) {
 	input := tensor.NewMatrix(rows, dim)
 	for i := range input.Data {
@@ -79,13 +85,13 @@ func TestParallelSerialPoolBitIdentical(t *testing.T) {
 			input, dLogit := randBatch(r, rows, net.InputDim())
 
 			serial := NewParallel(net)
-			ref := runPass(serial, serial.NewState(rows), input, dLogit)
+			ref := runPass(serial, newTrainState(serial, rows), input, dLogit)
 
 			for _, workers := range []int{1, 3, 8} {
 				par := NewParallel(net)
 				pool := NewPool(workers)
 				par.SetPool(pool)
-				got := runPass(par, par.NewState(rows), input, dLogit)
+				got := runPass(par, newTrainState(par, rows), input, dLogit)
 				pool.Close()
 				samePass(t, fmt.Sprintf("%s rows=%d workers=%d", net.Name(), rows, workers), got, ref)
 			}
@@ -104,7 +110,7 @@ func TestParallelRowQuantitiesMatchRaw(t *testing.T) {
 		r := xrand.New(41)
 		input, dLogit := randBatch(r, rows, net.InputDim())
 
-		rawSt := net.NewState(rows)
+		rawSt := newTrainState(net, rows)
 		rawLogits := append([]float32(nil), net.Forward(rawSt, input, rows)...)
 		rawDIn := append([]float32(nil), net.Backward(rawSt, dLogit).Data[:rows*net.InputDim()]...)
 
@@ -112,7 +118,7 @@ func TestParallelRowQuantitiesMatchRaw(t *testing.T) {
 		pool := NewPool(4)
 		defer pool.Close()
 		par.SetPool(pool)
-		st := par.NewState(rows)
+		st := newTrainState(par, rows)
 		logits := par.Forward(st, input, rows)
 		for i := range rawLogits {
 			if logits[i] != rawLogits[i] {
@@ -139,7 +145,7 @@ func TestParallelRepeatedRunsStable(t *testing.T) {
 	pool := NewPool(8)
 	defer pool.Close()
 	par.SetPool(pool)
-	st := par.NewState(rows)
+	st := newTrainState(par, rows)
 	first := runPass(par, st, input, dLogit)
 	for trial := 0; trial < 5; trial++ {
 		got := runPass(par, st, input, dLogit)
@@ -202,7 +208,8 @@ func TestPoolRunPanicPropagates(t *testing.T) {
 
 // BenchmarkModelForwardBackwardParallel measures the batch-parallel dense
 // pass (forward + backward + reduced Grads) against pool sizes; compare with
-// the pool-less case for the single-core baseline.
+// the pool-less case for the single-core baseline. allocs/op counts the
+// per-call matrix views and closures; no buffer is allocated.
 func BenchmarkModelForwardBackwardParallel(b *testing.B) {
 	for _, workers := range []int{0, 1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -215,12 +222,14 @@ func BenchmarkModelForwardBackwardParallel(b *testing.B) {
 			}
 			par.SetPool(pool)
 			const rows = 256
-			st := par.NewState(rows)
+			// The engine's shape: Grads reduces into the vector the state
+			// was built with.
+			grads := make([]float32, par.ParamCount())
+			st := par.NewState(rows, tensor.NewMatrix(rows, par.InputDim()), grads)
 			r := xrand.New(1)
 			input, _ := randBatch(r, rows, par.InputDim())
 			labels := make([]float32, rows)
 			dLogit := make([]float32, rows)
-			grads := make([]float32, par.ParamCount())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
