@@ -1,7 +1,7 @@
 // Command hetgmp-datagen generates a synthetic CTR dataset — either one of
 // the paper's presets (Table 1 shapes) or a fully custom configuration —
-// and writes it in the text format that cmd/hetgmp-train and
-// cmd/hetgmp-partition load with -file.
+// and writes it in the text format that cmd/hetgmp-partition loads with
+// -file. cmd/hetgmp-train generates its datasets itself and reads no file.
 //
 // Usage:
 //

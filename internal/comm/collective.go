@@ -23,7 +23,8 @@ func (c *Coordinator) Transport() Transport { return c.tr }
 
 // Exchange all-gathers one payload per rank: this rank's payload is sent to
 // every peer as a message of type mt, and the result holds rank r's payload
-// at index r (this rank's own payload is aliased, not copied). All ranks
+// at index r. This rank's own entry is payload itself, which the caller may
+// reuse once Exchange returns; the peers' are lent until Release. All ranks
 // must call Exchange in the same order with the same types — the shared
 // sequence number makes a desynchronised, duplicated or dropped round
 // surface as a *ProtocolError or ErrTimeout instead of silent corruption
@@ -66,6 +67,18 @@ func (c *Coordinator) Exchange(mt MsgType, payload []byte) ([][]byte, error) {
 		out[p] = m.Payload
 	}
 	return out, nil
+}
+
+// Release hands every peer payload of an Exchange result back to the
+// transport (Transport.Release); the caller must be done with all of them.
+// This rank's own entry is its caller's buffer and is left alone.
+func (c *Coordinator) Release(frames [][]byte) {
+	rank := c.tr.Rank()
+	for p, f := range frames {
+		if p != rank {
+			c.tr.Release(p, f)
+		}
+	}
 }
 
 // Barrier is an empty-payload control Exchange: it returns once every rank

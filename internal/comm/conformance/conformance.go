@@ -3,8 +3,10 @@
 // builds a connected n-rank mesh; the suite then verifies the properties
 // the distributed engine depends on — message round-trips, per-link FIFO
 // ordering, byte-ledger totals identical across backends, concurrent-sender
-// safety (run it under -race), typed fault surfacing on peer close, and the
-// Coordinator's collective protocol. The companion oracle test
+// safety (run it under -race), the payload lifetime contract (a sender may
+// reuse its payload once Send returns; a receiver owns its payload until it
+// Releases it), typed fault surfacing on peer close, and the Coordinator's
+// collective protocol. The companion oracle test
 // (oracle_test.go) closes the loop end to end: a multi-rank training run
 // over any conforming backend must be bit-identical to the single-process
 // simulation.
@@ -32,6 +34,8 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run(name+"/LedgerTotals", func(t *testing.T) { testLedgerTotals(t, factory) })
 	t.Run(name+"/LinkLedger", func(t *testing.T) { testLinkLedger(t, factory) })
 	t.Run(name+"/ConcurrentSenders", func(t *testing.T) { testConcurrentSenders(t, factory) })
+	t.Run(name+"/SenderReusesPayload", func(t *testing.T) { testSenderReusesPayload(t, factory) })
+	t.Run(name+"/ReleasedPayloads", func(t *testing.T) { testReleasedPayloads(t, factory) })
 	t.Run(name+"/SendValidation", func(t *testing.T) { testSendValidation(t, factory) })
 	t.Run(name+"/RecvTimeout", func(t *testing.T) { testRecvTimeout(t, factory) })
 	t.Run(name+"/PeerClose", func(t *testing.T) { testPeerClose(t, factory) })
@@ -63,7 +67,8 @@ func closeAll(ts []comm.Transport) {
 
 // testRoundTrip sends one message of every type (including empty and
 // multi-kB payloads) across every ordered pair and checks type, sequence
-// and payload survive intact.
+// and payload survive intact. Every send reuses one scratch buffer, and
+// every received payload goes back to its transport.
 func testRoundTrip(t *testing.T, factory Factory) {
 	ts := factory(t, 3)
 	defer closeAll(ts)
@@ -73,6 +78,7 @@ func testRoundTrip(t *testing.T, factory Factory) {
 			{0xde},
 			bytes.Repeat([]byte{0xa5, 0x00, 0xff}, 1024),
 		}
+		var scratch []byte
 		for src := range ts {
 			for dst := range ts {
 				if src == dst {
@@ -81,11 +87,8 @@ func testRoundTrip(t *testing.T, factory Factory) {
 				for mt := 0; mt < comm.NumMsgTypes; mt++ {
 					for pi, p := range payloads {
 						seq := uint64(src*1000 + dst*100 + mt*10 + pi)
-						var own []byte
-						if p != nil {
-							own = append([]byte(nil), p...) // transport takes ownership
-						}
-						if err := ts[src].Send(dst, &comm.Message{Type: comm.MsgType(mt), Seq: seq, Payload: own}); err != nil {
+						scratch = append(scratch[:0], p...)
+						if err := ts[src].Send(dst, &comm.Message{Type: comm.MsgType(mt), Seq: seq, Payload: scratch}); err != nil {
 							t.Fatalf("send %d→%d type %d: %v", src, dst, mt, err)
 						}
 						m, err := ts[dst].Recv(src)
@@ -96,9 +99,122 @@ func testRoundTrip(t *testing.T, factory Factory) {
 							t.Fatalf("round-trip %d→%d corrupted: got type %v seq %d payload %d bytes, want type %v seq %d payload %d bytes",
 								src, dst, m.Type, m.Seq, len(m.Payload), comm.MsgType(mt), seq, len(p))
 						}
+						ts[dst].Release(src, m.Payload)
 					}
 				}
 			}
+		}
+	})
+}
+
+// pattern fills a payload whose every byte depends on its message index,
+// so a payload overwritten by a later message cannot pass for its own.
+func pattern(i, n int) []byte {
+	b := make([]byte, n)
+	for j := range b {
+		b[j] = byte(i*31 + j)
+	}
+	return b
+}
+
+// testSenderReusesPayload holds Send to "done with the payload when it
+// returns": the sender overwrites one buffer with every message of a
+// burst, all before the receiver pops any, and every message must still
+// arrive with the bytes it had at its Send.
+func testSenderReusesPayload(t *testing.T, factory Factory) {
+	const burst, size = 16, 4096
+	ts := factory(t, 2)
+	defer closeAll(ts)
+	guard(t, 30*time.Second, func() {
+		buf := make([]byte, size)
+		for i := 0; i < burst; i++ {
+			copy(buf, pattern(i, size))
+			if err := ts[0].Send(1, &comm.Message{Type: comm.MsgGradPush, Seq: uint64(i), Payload: buf}); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		clear(buf)
+		for i := 0; i < burst; i++ {
+			m, err := ts[1].Recv(0)
+			if err != nil {
+				t.Fatalf("recv %d: %v", i, err)
+			}
+			if !bytes.Equal(m.Payload, pattern(i, size)) {
+				t.Fatalf("message %d arrived with bytes the sender wrote after its Send", i)
+			}
+		}
+	})
+}
+
+// testReleasedPayloads holds the receive side of the lifetime contract. A
+// payload released twice, or a slice the transport never lent, must not
+// let one buffer back two held payloads. And a receiver that holds each
+// payload across its next receive, releasing it only after reading it,
+// must read every one intact — under -race, a transport that received into
+// a buffer still held would also be reported as a data race.
+func testReleasedPayloads(t *testing.T, factory Factory) {
+	const size, stream = 2048, 200
+	ts := factory(t, 2)
+	defer closeAll(ts)
+	guard(t, 30*time.Second, func() {
+		send := func(i int) {
+			t.Helper()
+			if err := ts[0].Send(1, &comm.Message{Type: comm.MsgGradPush, Seq: uint64(i), Payload: pattern(i, size)}); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		recv := func(i int) []byte {
+			t.Helper()
+			m, err := ts[1].Recv(0)
+			if err != nil {
+				t.Fatalf("recv %d: %v", i, err)
+			}
+			if !bytes.Equal(m.Payload, pattern(i, size)) {
+				t.Fatalf("message %d arrived corrupted", i)
+			}
+			return m.Payload
+		}
+
+		send(0)
+		a := recv(0)
+		ts[1].Release(0, a)
+		ts[1].Release(0, a)                    // twice
+		ts[1].Release(0, make([]byte, 2*size)) // never lent
+		ts[1].Release(5, a)                    // no such peer
+		send(1)
+		b := recv(1)
+		send(2)
+		c := recv(2)
+		if &b[0] == &c[0] {
+			t.Fatal("a buffer released twice was lent to two held payloads")
+		}
+		if !bytes.Equal(b, pattern(1, size)) {
+			t.Fatal("a held payload was overwritten by a later message")
+		}
+		ts[1].Release(0, b)
+		ts[1].Release(0, c)
+
+		go func() {
+			for i := 3; i < 3+stream; i++ {
+				if err := ts[0].Send(1, &comm.Message{Type: comm.MsgGradPush, Seq: uint64(i), Payload: pattern(i, size)}); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+		}()
+		var held []byte
+		for i := 3; i < 3+stream; i++ {
+			m, err := ts[1].Recv(0)
+			if err != nil {
+				t.Fatalf("recv %d: %v", i, err)
+			}
+			if held != nil {
+				if !bytes.Equal(held, pattern(i-1, size)) {
+					t.Fatalf("message %d changed while held across the next receive", i-1)
+				}
+				ts[1].Release(0, held)
+			}
+			held = m.Payload
 		}
 	})
 }
@@ -450,6 +566,7 @@ func testExchangeBarrier(t *testing.T, factory Factory) {
 							return
 						}
 					}
+					coord.Release(got)
 					if err := coord.Barrier(); err != nil {
 						t.Errorf("rank %d round %d barrier: %v", r, round, err)
 						return

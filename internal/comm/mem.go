@@ -18,8 +18,10 @@ import (
 type MemTransport struct {
 	rank  int
 	peers []*MemTransport
-	// inbox[from] buffers messages from rank `from` to this endpoint.
+	// inbox[from] buffers messages from rank `from` to this endpoint, and
+	// pools[from] recycles their payload copies.
 	inbox []*MessageQueue
+	pools []PayloadPool
 	stats Ledger
 
 	mu      sync.Mutex
@@ -39,7 +41,7 @@ func NewMemNetwork(n int) []*MemTransport {
 		for p := range inbox {
 			inbox[p] = &MessageQueue{}
 		}
-		ts[r] = &MemTransport{rank: r, inbox: inbox}
+		ts[r] = &MemTransport{rank: r, inbox: inbox, pools: make([]PayloadPool, n)}
 		ts[r].stats.InitPeers(n)
 	}
 	for r := range ts {
@@ -75,7 +77,8 @@ func (t *MemTransport) LinkStats() []LinkStats { return t.stats.LinkSnapshot() }
 
 // Send implements Transport. The message is validated against the wire
 // format's limits (type, payload size) so a payload a real backend could
-// not frame is rejected here too.
+// not frame is rejected here too. The payload is copied into a buffer the
+// receiving endpoint lends, as a socket backend copies it onto the wire.
 func (t *MemTransport) Send(to int, m *Message) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -91,7 +94,9 @@ func (t *MemTransport) Send(to int, m *Message) error {
 	}
 	peer := t.peers[to]
 	size := FrameSize(len(m.Payload))
-	if !peer.inbox[t.rank].Push(m) {
+	payload := peer.pools[t.rank].Get(len(m.Payload))
+	copy(payload, m.Payload)
+	if !peer.inbox[t.rank].Push(&Message{Type: m.Type, Seq: m.Seq, Payload: payload}) {
 		return &PeerError{Peer: to, Op: "send to", Err: ErrPeerClosed}
 	}
 	t.stats.RecordSendTo(to, m.Type, size)
@@ -106,6 +111,13 @@ func (t *MemTransport) Recv(from int) (*Message, error) {
 		return nil, fmt.Errorf("comm: recv from rank %d outside mesh of %d", from, len(t.peers))
 	}
 	return t.inbox[from].Pop(t.recvTimeout())
+}
+
+// Release implements Transport.
+func (t *MemTransport) Release(from int, payload []byte) {
+	if from >= 0 && from < len(t.pools) {
+		t.pools[from].Put(payload)
+	}
 }
 
 // Close implements Transport: pending local receives unblock with

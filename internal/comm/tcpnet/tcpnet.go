@@ -63,6 +63,7 @@ type Transport struct {
 
 	conns   []*conn // index by peer rank; nil at own rank
 	inbox   []*comm.MessageQueue
+	pools   []comm.PayloadPool // pools[p] lends the buffers p's frames are read into
 	lis     net.Listener
 	closed  atomic.Bool
 	readers sync.WaitGroup // the readLoop goroutines; Close waits for them
@@ -77,7 +78,7 @@ type Transport struct {
 // writer at a time: decode is observed by the link's reader goroutine,
 // encode and flush by whoever holds its write mutex.
 type netMetrics struct {
-	encode  *obs.Histogram // frame encode (AppendFrame) wall nanoseconds
+	encode  *obs.Histogram // frame header encode wall nanoseconds
 	flush   *obs.Histogram // socket write wall nanoseconds
 	decode  *obs.Histogram // payload read + decode wall nanoseconds
 	dials   *obs.Counter   // outbound connections established
@@ -110,9 +111,13 @@ type conn struct {
 	down atomic.Bool
 
 	// wmu serialises writers: a frame goes out whole, and frames of one
-	// sender go out in its Send order. Close never takes it.
-	wmu   sync.Mutex
-	frame []byte // reusable encode buffer
+	// sender go out in its Send order. Close never takes it. It guards the
+	// write scratch below: the header, and the header-plus-payload vector
+	// one writev sends.
+	wmu  sync.Mutex
+	hdr  [comm.FrameHeaderSize]byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 const defaultDialTimeout = 30 * time.Second
@@ -140,6 +145,7 @@ func Connect(cfg Config) (*Transport, error) {
 		met:   newNetMetrics(cfg.Obs),
 		conns: make([]*conn, n),
 		inbox: make([]*comm.MessageQueue, n),
+		pools: make([]comm.PayloadPool, n),
 	}
 	t.stats.InitPeers(n)
 	for p := range t.inbox {
@@ -316,7 +322,9 @@ func peerFault(err error) error {
 
 // readLoop decodes frames into the per-peer inbox until the link dies. The
 // header read is untimed (it blocks across socket idle), so the decode
-// histogram measures payload transfer + decode only. A frame is ledgered
+// histogram measures payload transfer + decode only. Each payload is read
+// into a buffer the link's pool lends — one the application released, else
+// a fresh one — only after its header passed validation. A frame is ledgered
 // before it is pushed, so any message the application has popped is already
 // accounted — end-of-run ledgers are complete once the protocol has
 // consumed its last message.
@@ -329,7 +337,7 @@ func (t *Transport) readLoop(c *conn) {
 			if met != nil {
 				clock = time.Now()
 			}
-			err = comm.ReadFramePayload(c.sock, &shell, payloadLen)
+			err = comm.ReadFramePayload(c.sock, &shell, t.pools[c.peer].Get(payloadLen))
 		}
 		if err != nil {
 			if t.closed.Load() {
@@ -438,8 +446,9 @@ func (t *Transport) Send(to int, m *Message) error {
 	return nil
 }
 
-// writeFrame encodes m into the link's frame buffer and writes it out, all
-// under the link's write mutex.
+// writeFrame encodes m's header and writes it and the payload out with one
+// vectored write, all under the link's write mutex. The payload is never
+// copied, and the link keeps no reference to it once the write returns.
 func (t *Transport) writeFrame(c *conn, m *Message) error {
 	met := t.met
 	timeout := t.recvTimeout()
@@ -449,8 +458,7 @@ func (t *Transport) writeFrame(c *conn, m *Message) error {
 	if met != nil {
 		clock = time.Now()
 	}
-	var err error
-	c.frame, err = comm.AppendFrame(c.frame[:0], t.rank, m)
+	hdr, err := comm.AppendFrameHeader(c.hdr[:0], t.rank, m)
 	if err != nil {
 		// Send already validated type and size; only a rank the header
 		// cannot hold gets here. Nothing was written, the link stays up.
@@ -467,7 +475,11 @@ func (t *Transport) writeFrame(c *conn, m *Message) error {
 	}
 	// SetWriteDeadline fails only on a closed socket, which Write reports.
 	c.sock.SetWriteDeadline(deadline)
-	if _, err := c.sock.Write(c.frame); err != nil {
+	c.iov = [2][]byte{hdr, m.Payload}
+	c.bufs = c.iov[:]
+	_, err = c.bufs.WriteTo(c.sock)
+	c.iov[1] = nil
+	if err != nil {
 		return t.failConn(c, err)
 	}
 	if met != nil {
@@ -489,6 +501,14 @@ func (t *Transport) Recv(from int) (*comm.Message, error) {
 		return nil, fmt.Errorf("tcpnet: recv from self (rank %d)", from)
 	}
 	return t.inbox[from].Pop(t.recvTimeout())
+}
+
+// Release implements comm.Transport: the link's read loop may read a later
+// frame from rank `from` into payload.
+func (t *Transport) Release(from int, payload []byte) {
+	if from >= 0 && from < t.size {
+		t.pools[from].Put(payload)
+	}
 }
 
 // Close implements comm.Transport: sockets close (peers see ErrPeerClosed

@@ -21,6 +21,10 @@
 //     same message sequence report identical ledgers.
 //   - Faults surface as typed errors (ErrClosed, ErrPeerClosed, ErrTimeout)
 //     rather than hangs or panics.
+//   - Buffer lifetime: Send is done with a payload when it returns, so the
+//     caller may overwrite or reuse it at once. A received payload is the
+//     caller's until it hands it back with Release; the transport may then
+//     receive a later message into it.
 package comm
 
 import (
@@ -76,8 +80,8 @@ func (t MsgType) String() string {
 
 // Message is one typed payload on a link. Seq is assigned by the sender
 // (the Coordinator stamps one per collective round) and lets receivers
-// detect duplicated or out-of-phase traffic. A transport takes ownership of
-// Payload at Send; the caller must not mutate it afterwards.
+// detect duplicated or out-of-phase traffic. Send copies or writes Payload
+// out before it returns; a received Payload is lent (see Transport.Release).
 type Message struct {
 	Type    MsgType
 	Seq     uint64
@@ -96,12 +100,19 @@ type Transport interface {
 	// concurrent use. It may block while the link's buffers are full, but
 	// only until the peer endpoint drains them — never on the peer
 	// application calling Recv — and a backend with a receive timeout
-	// configured bounds that wait by it and reports a typed error.
+	// configured bounds that wait by it and reports a typed error. Send
+	// is done with m.Payload when it returns: the caller may reuse it.
 	Send(to int, m *Message) error
 	// Recv blocks for the next message from rank `from`, honouring the
 	// configured receive timeout. Messages from one peer arrive in send
-	// order.
+	// order. The payload stays valid until the caller Releases it.
 	Recv(from int) (*Message, error)
+	// Release hands a payload Recv returned from rank `from` back to the
+	// transport, which may receive a later message into it; the caller
+	// must not touch it afterwards. Releasing is optional — an unreleased
+	// payload is garbage collected — and a payload the transport did not
+	// lend, or one released twice, is ignored.
+	Release(from int, payload []byte)
 	// SetRecvTimeout bounds every subsequent Recv; 0 disables the bound.
 	SetRecvTimeout(d time.Duration)
 	// Stats snapshots the per-type byte/message ledger.

@@ -60,6 +60,17 @@ func FrameSize(payloadLen int) int64 {
 // AppendFrame appends the framed encoding of m (sent by rank from) to buf
 // and returns the extended slice.
 func AppendFrame(buf []byte, from int, m *Message) ([]byte, error) {
+	buf, err := AppendFrameHeader(buf, from, m)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, m.Payload...), nil
+}
+
+// AppendFrameHeader appends the header of m's frame (sent by rank from) to
+// buf: the frame on the wire is that header followed by m.Payload, so a
+// writer can send the two without copying the payload next to the header.
+func AppendFrameHeader(buf []byte, from int, m *Message) ([]byte, error) {
 	if int(m.Type) >= NumMsgTypes {
 		return buf, fmt.Errorf("%w: %d", ErrBadType, int(m.Type))
 	}
@@ -76,9 +87,7 @@ func AppendFrame(buf []byte, from int, m *Message) ([]byte, error) {
 	binary.LittleEndian.PutUint16(hdr[6:8], uint16(from))
 	binary.LittleEndian.PutUint64(hdr[8:16], m.Seq)
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(m.Payload)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, m.Payload...)
-	return buf, nil
+	return append(buf, hdr[:]...), nil
 }
 
 // EncodeFrame frames m as a fresh byte slice.
@@ -148,14 +157,14 @@ func ReadFrameHeader(r io.Reader) (from int, shell Message, payloadLen int, err 
 }
 
 // ReadFramePayload reads the payload announced by a validated header into
-// shell.Payload. The allocation happens only here, after the length prefix
-// passed validation in ReadFrameHeader.
-func ReadFramePayload(r io.Reader, shell *Message, payloadLen int) error {
-	if payloadLen <= 0 {
+// payload, which the caller sized to the header's payload length only after
+// ReadFrameHeader validated it, and sets shell.Payload to it.
+func ReadFramePayload(r io.Reader, shell *Message, payload []byte) error {
+	if len(payload) == 0 {
 		return nil
 	}
-	shell.Payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, shell.Payload); err != nil {
+	shell.Payload = payload
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return fmt.Errorf("%w: %w", ErrShortFrame, err)
 	}
 	return nil
@@ -170,7 +179,7 @@ func ReadFrame(r io.Reader) (from int, m *Message, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := ReadFramePayload(r, &shell, payloadLen); err != nil {
+	if err := ReadFramePayload(r, &shell, make([]byte, payloadLen)); err != nil {
 		return 0, nil, err
 	}
 	return from, &shell, nil

@@ -20,8 +20,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
+
+	"hetgmp/internal/lefloat"
 )
 
 const (
@@ -63,11 +64,8 @@ func (t *Table) AppendQueued(buf []byte, w int) []byte {
 		for _, u := range q {
 			le.PutUint32(buf[off:], uint32(u.x))
 			le.PutUint32(buf[off+4:], uint32(u.count))
-			off += 8
-			for _, v := range u.delta {
-				le.PutUint32(buf[off:], math.Float32bits(v))
-				off += 4
-			}
+			lefloat.Put(buf[off+8:], u.delta)
+			off += 8 + 4*t.dim
 		}
 	}
 	return buf
@@ -78,7 +76,47 @@ func (t *Table) AppendQueued(buf []byte, w int) []byte {
 // subsequent Commit applies the identical (worker-ascending,
 // position-ascending) sequence the originating process would. The blob
 // must come from a table of the same dim and worker count.
+//
+// The whole blob is validated before any entry is filed, so a rejected
+// blob leaves the shard exactly as it was. The entries are filed by
+// reference: where the host's float layout allows (a little-endian host
+// and a 4-byte-aligned blob) each queued delta is a view into data, not a
+// copy. data must therefore stay unmodified until the Commit that drains
+// the shard has returned.
 func (t *Table) InjectQueued(w int, data []byte) error {
+	if err := t.validateQueued(data); err != nil {
+		return err
+	}
+	sh := t.shards[w]
+	le := binary.LittleEndian
+	entrySize := 8 + t.dim*4
+	var grad []float32 // decode scratch for a blob that cannot be viewed
+	data = data[16:]
+	for o := 0; o < t.n; o++ {
+		cnt := int(le.Uint32(data))
+		data = data[4:]
+		for i := 0; i < cnt; i++ {
+			entry := data[:entrySize]
+			data = data[entrySize:]
+			x, count := int32(le.Uint32(entry)), int32(le.Uint32(entry[4:]))
+			if delta := lefloat.View(entry[8:]); delta != nil {
+				sh.queues[o] = append(sh.queues[o], primaryUpdate{x: x, count: count, delta: delta})
+				continue
+			}
+			if grad == nil {
+				grad = make([]float32, t.dim)
+			}
+			lefloat.Decode(grad, entry[8:])
+			t.queueUpdate(sh, o, x, count, grad)
+		}
+	}
+	return nil
+}
+
+// validateQueued checks a queued-update blob against this table: header,
+// every owner's entry count, every entry's feature range, count and
+// ownership, and the absence of trailing bytes.
+func (t *Table) validateQueued(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("%w: %d header bytes", ErrBadQueueBlob, len(data))
 	}
@@ -96,10 +134,8 @@ func (t *Table) InjectQueued(w int, data []byte) error {
 		return fmt.Errorf("%w: %d owners, table has %d", ErrBadQueueBlob, o, t.n)
 	}
 	data = data[16:]
-	sh := t.shards[w]
 	rows := int32(t.cfg.NumFeatures)
 	entrySize := 8 + t.dim*4
-	grad := make([]float32, t.dim)
 	for o := 0; o < t.n; o++ {
 		if len(data) < 4 {
 			return fmt.Errorf("%w: truncated at owner %d", ErrBadQueueBlob, o)
@@ -120,10 +156,6 @@ func (t *Table) InjectQueued(w int, data []byte) error {
 			if got := t.assign.PrimaryOf[x]; got != o {
 				return fmt.Errorf("%w: feature %d owned by %d, filed under %d", ErrBadQueueBlob, x, got, o)
 			}
-			for j := range grad {
-				grad[j] = math.Float32frombits(le.Uint32(entry[8+4*j:]))
-			}
-			t.queueUpdate(sh, o, x, count, grad)
 		}
 	}
 	if len(data) != 0 {

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
+	"hetgmp/internal/lefloat"
+	"hetgmp/internal/optim"
 	"hetgmp/internal/xrand"
 )
 
@@ -63,7 +66,9 @@ func queueRandom(tbl *Table, w, n int, rng *xrand.RNG) {
 // TestQueuedCodecRoundTrip holds AppendQueued to the previous encoder's
 // exact bytes — on empty queues, one-sided queues and random ones, from a
 // nil buffer and behind a prefix — and InjectQueued to reproducing the
-// queues entry for entry in a peer table's ghost shard.
+// queues entry for entry in a peer table's ghost shard, from an aligned
+// blob (filed by reference where the host allows) and a misaligned one
+// (decoded into the shard's arena).
 func TestQueuedCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -109,8 +114,134 @@ func TestQueuedCodecRoundTrip(t *testing.T) {
 			if src.QueuedCount(1) != dst.QueuedCount(1) {
 				t.Fatalf("queued %d, injected %d", src.QueuedCount(1), dst.QueuedCount(1))
 			}
+			if lefloat.View(got[:4]) != nil {
+				for o, q := range dst.shards[1].queues {
+					for i, u := range q {
+						if !aliases(got, u.delta) {
+							t.Fatalf("owner %d entry %d: an aligned blob's delta was copied, not viewed", o, i)
+						}
+					}
+				}
+			}
+
+			misaligned := append([]byte{0}, got...)[1:]
+			copied := newTestTable(t)
+			if err := copied.InjectQueued(1, misaligned); err != nil {
+				t.Fatal(err)
+			}
+			if again := copied.AppendQueued(nil, 1); !bytes.Equal(again, want) {
+				t.Fatal("queues injected from a misaligned blob re-encode to different bytes")
+			}
 		})
 	}
+}
+
+// aliases reports whether v's memory lies inside b's.
+func aliases(b []byte, v []float32) bool {
+	if len(v) == 0 {
+		return false
+	}
+	lo, hi := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&b[len(b)-1]))
+	p := uintptr(unsafe.Pointer(&v[0]))
+	return lo <= p && p <= hi
+}
+
+// TestInjectQueuedRejectsWholeBlob corrupts only a blob's last entry: the
+// inject must fail with ErrBadQueueBlob and leave the ghost shard exactly as
+// it was — none of the valid entries before the bad one may be filed, or
+// the next Commit would apply half a peer's iteration.
+func TestInjectQueuedRejectsWholeBlob(t *testing.T) {
+	src := newTestTable(t)
+	queueRandom(src, 1, 20, xrand.New(9))
+	good := src.AppendQueued(nil, 1)
+	dst := newTestTable(t)
+	if err := dst.InjectQueued(1, good); err != nil { // already queued entries stay
+		t.Fatal(err)
+	}
+	before := dst.AppendQueued(nil, 1)
+
+	for _, corrupt := range []struct {
+		name string
+		x    uint32
+	}{
+		{"feature out of range", uint32(src.cfg.NumFeatures)},
+		{"feature of another owner", 0}, // the last entry sits in owner 1's bucket; feature 0 is owner 0's
+	} {
+		bad := append([]byte(nil), good...)
+		last := len(bad) - (8 + 4*src.dim)
+		if src.assign.PrimaryOf[int32(binary.LittleEndian.Uint32(bad[last:]))] != 1 {
+			t.Fatal("the blob's last entry is not in owner 1's bucket; the case is degenerate")
+		}
+		binary.LittleEndian.PutUint32(bad[last:], corrupt.x)
+		if err := dst.InjectQueued(1, bad); !errors.Is(err, ErrBadQueueBlob) {
+			t.Fatalf("%s: got %v, want ErrBadQueueBlob", corrupt.name, err)
+		}
+		if after := dst.AppendQueued(nil, 1); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the rejected blob changed the shard's queues", corrupt.name)
+		}
+	}
+	if dst.QueuedCount(1) != src.QueuedCount(1) {
+		t.Fatalf("the shard holds %d queued updates, want the %d of the accepted blob", dst.QueuedCount(1), src.QueuedCount(1))
+	}
+}
+
+// FuzzInjectQueued holds InjectQueued to its contract on arbitrary bytes:
+// it either rejects them with ErrBadQueueBlob, leaving the shard empty, or
+// accepts them, and then the queues it filed re-encode byte for byte — from
+// the blob and from a misaligned copy of it — and the Commit that drains
+// them does not panic. The header's dim picks the table (4, 8 or 32 wide).
+func FuzzInjectQueued(f *testing.F) {
+	tables := map[uint32]*Table{}
+	for _, dim := range []int{4, 8, 32} {
+		tbl := newDimTable(f, dim)
+		tables[uint32(dim)] = tbl
+		src := newDimTable(f, dim)
+		queueRandom(src, 1, 12, xrand.New(uint64(dim)))
+		blob := src.AppendQueued(nil, 1)
+		for _, n := range []int{len(blob), len(blob) - 1, len(blob) / 2, 20, 16, 0} {
+			f.Add(blob[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl := tables[4]
+		if len(data) >= 12 && tables[binary.LittleEndian.Uint32(data[8:])] != nil {
+			tbl = tables[binary.LittleEndian.Uint32(data[8:])]
+		}
+		for _, blob := range [][]byte{data, append([]byte{0}, data...)[1:]} {
+			err := tbl.InjectQueued(1, blob)
+			if err != nil {
+				if !errors.Is(err, ErrBadQueueBlob) {
+					t.Fatalf("rejected with %v, want ErrBadQueueBlob", err)
+				}
+				if n := tbl.QueuedCount(1); n != 0 {
+					t.Fatalf("a rejected blob left %d queued updates", n)
+				}
+				return
+			}
+			if again := tbl.AppendQueued(nil, 1); !bytes.Equal(again, data) {
+				t.Fatalf("an accepted %d-byte blob re-encodes to %d different bytes", len(data), len(again))
+			}
+			tbl.Commit()
+		}
+	})
+}
+
+// newDimTable is newTestTable at another embedding width.
+func newDimTable(tb testing.TB, dim int) *Table {
+	tb.Helper()
+	tbl, err := NewTable(Config{
+		NumFeatures: 6,
+		Dim:         dim,
+		Assign:      testAssign(),
+		Freq:        []int32{10, 1, 1, 5, 1, 1},
+		Optimizer:   optim.NewSGD(1),
+		LocalLR:     1,
+		Seed:        3,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tbl
 }
 
 // TestInjectQueuedRejectsMalformed cuts and corrupts a real blob: every

@@ -30,6 +30,13 @@
 // splitIterationFrame checks every section length before anything is
 // sliced.
 //
+// Each frame byte moves once. A rank encodes its frame into one buffer it
+// reuses every round (Send is done with a payload when it returns). A
+// peer's queued updates are filed as views into the frame the transport
+// received them in, so the frame stays the rank's until the Commit that
+// drains them has returned; then it goes back to the transport
+// (Coordinator.Release) to receive a later frame into.
+//
 // Ghost traffic is replayed through the same chargeOwnerTraffic path the
 // owning rank ran, on the ghost worker's own fabric stripe, in its program
 // order — so the fabric's order-sensitive float ledgers fold identically
@@ -47,6 +54,7 @@ import (
 
 	"hetgmp/internal/comm"
 	"hetgmp/internal/embed"
+	"hetgmp/internal/lefloat"
 )
 
 // DistConfig attaches a Trainer to a transport mesh for multi-rank
@@ -65,6 +73,20 @@ type DistConfig struct {
 type distState struct {
 	coord *comm.Coordinator
 	rank  int
+	// frame is this rank's outgoing payload, reused by every exchange.
+	frame []byte
+	// peers holds the last exchange's frames while the ghost shards'
+	// queued updates still view them: from replay to the Commit after it.
+	peers [][]byte
+	// sums are the per-peer summary decode targets, reused every iteration.
+	sums []distSummary
+}
+
+// release hands the peers' frames back to the transport. Run calls it once
+// the Commit that drained their queued updates has returned.
+func (d *distState) release() {
+	d.coord.Release(d.peers)
+	d.peers = nil
 }
 
 // distSummary is one worker's iteration summary, exchanged every barrier.
@@ -139,15 +161,13 @@ func appendSummary(buf []byte, w *worker) []byte {
 // appendDense serialises a dense gradient.
 func appendDense(buf []byte, g []float32) []byte {
 	buf, off := extend(buf, 4*len(g))
-	for i, v := range g {
-		binary.LittleEndian.PutUint32(buf[off+i*4:], math.Float32bits(v))
-	}
+	lefloat.Put(buf[off:], g)
 	return buf
 }
 
-// encodeIterationFrame builds this rank's iteration frame in one exact-size
-// allocation. The transport owns the frame after Send, so a fresh one is
-// built every iteration and never written again.
+// encodeIterationFrame builds this rank's iteration frame in the rank's
+// reused frame buffer, grown on demand. The returned frame is valid until
+// the next encode.
 func (t *Trainer) encodeIterationFrame(w *worker) []byte {
 	dense := t.denseGrad[w.id]
 	if w.iterSamples == 0 {
@@ -155,12 +175,15 @@ func (t *Trainer) encodeIterationFrame(w *worker) []byte {
 		dense = nil
 	}
 	sumLen, queuedLen := summarySize(t.n), t.table.QueuedSize(w.id)
-	buf := make([]byte, iterFrameHeader, iterFrameHeader+sumLen+queuedLen+4*len(dense))
+	buf := slices.Grow(t.dist.frame[:0], iterFrameHeader+sumLen+queuedLen+4*len(dense))
+	buf, _ = extend(buf, iterFrameHeader)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(sumLen))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(queuedLen))
 	buf = appendSummary(buf, w)
 	buf = t.table.AppendQueued(buf, w.id)
-	return appendDense(buf, dense)
+	buf = appendDense(buf, dense)
+	t.dist.frame = buf
+	return buf
 }
 
 // splitIterationFrame validates a peer's iteration frame for an n-worker
@@ -188,9 +211,11 @@ func splitIterationFrame(blob []byte, n, paramCount int) (summary, queued, dense
 	return body[:sumLen], body[sumLen : sumLen+queuedLen], dense, nil
 }
 
-func decodeSummary(data []byte, n int) (*distSummary, error) {
+// decodeSummary fills s from a summary blob of an n-worker job, reusing
+// s's traffic slices.
+func decodeSummary(s *distSummary, data []byte, n int) error {
 	if len(data) != summarySize(n) {
-		return nil, fmt.Errorf("engine: summary blob is %d bytes, want %d", len(data), summarySize(n))
+		return fmt.Errorf("engine: summary blob is %d bytes, want %d", len(data), summarySize(n))
 	}
 	u32 := func() uint32 {
 		v := binary.LittleEndian.Uint32(data[:4])
@@ -203,7 +228,6 @@ func decodeSummary(data []byte, n int) (*distSummary, error) {
 		return v
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
-	s := &distSummary{}
 	s.samples = int(u32())
 	s.loss, s.compute, s.iterTime = f64(), f64(), f64()
 	s.readComm, s.updComm = f64(), f64()
@@ -216,8 +240,8 @@ func decodeSummary(data []byte, n int) (*distSummary, error) {
 	for _, p := range stats {
 		*p = int64(u64())
 	}
-	trafficN := func() []embed.OwnerTraffic {
-		per := make([]embed.OwnerTraffic, n)
+	trafficN := func(per []embed.OwnerTraffic) []embed.OwnerTraffic {
+		per = slices.Grow(per[:0], n)[:n]
 		for o := range per {
 			per[o].SyncVecs = int(u32())
 			per[o].FlushVecs = int(u32())
@@ -225,18 +249,16 @@ func decodeSummary(data []byte, n int) (*distSummary, error) {
 		}
 		return per
 	}
-	s.readPer = trafficN()
-	s.updPer = trafficN()
-	return s, nil
+	s.readPer = trafficN(s.readPer)
+	s.updPer = trafficN(s.updPer)
+	return nil
 }
 
 func decodeDense(dst []float32, data []byte) error {
 	if len(data) != 4*len(dst) {
 		return fmt.Errorf("engine: dense gradient blob is %d bytes, want %d", len(data), 4*len(dst))
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[i*4:]))
-	}
+	lefloat.Decode(dst, data)
 	return nil
 }
 
@@ -244,7 +266,8 @@ func decodeDense(dst []float32, data []byte) error {
 // run this rank's worker, all-gather one iteration frame (summary, queued
 // updates, dense gradient), then replay every peer's effects locally so the
 // rest of the loop — barrier time, dense reduce, Commit, evaluation —
-// executes identically on every rank over identical state.
+// executes identically on every rank over identical state. The peers'
+// frames stay held (d.peers) until Run releases them after that Commit.
 func (t *Trainer) distIterate() error {
 	d := t.dist
 	me := t.workers[d.rank]
@@ -258,6 +281,7 @@ func (t *Trainer) distIterate() error {
 	if err != nil {
 		return fmt.Errorf("engine: iteration exchange: %w", err)
 	}
+	d.peers = frames
 
 	for p := 0; p < t.n; p++ {
 		if p == d.rank {
@@ -280,8 +304,8 @@ func (t *Trainer) distIterate() error {
 // inject into the ghost shard, and the dense gradient lands in its slot.
 func (t *Trainer) replayPeer(p int, sum, queued, grad []byte) error {
 	w := t.workers[p]
-	s, err := decodeSummary(sum, t.n)
-	if err != nil {
+	s := &t.dist.sums[p]
+	if err := decodeSummary(s, sum, t.n); err != nil {
 		return err
 	}
 	if s.samples == 0 {
@@ -344,8 +368,9 @@ func (t *Trainer) distFlush() ([][]embed.OwnerTraffic, error) {
 	d := t.dist
 	traffic := t.table.FlushWorkerPending(d.rank)
 
-	payload := appendTraffic(make([]byte, 0, t.n*12+t.table.QueuedSize(d.rank)), traffic)
+	payload := appendTraffic(d.frame[:0], traffic)
 	payload = t.table.AppendQueued(payload, d.rank)
+	d.frame = payload
 	blobs, err := d.coord.Exchange(comm.MsgEmbedPull, payload)
 	if err != nil {
 		return nil, fmt.Errorf("engine: flush exchange: %w", err)
@@ -373,6 +398,7 @@ func (t *Trainer) distFlush() ([][]embed.OwnerTraffic, error) {
 		}
 	}
 	t.table.Commit()
+	d.coord.Release(blobs)
 	t.table.ResyncReplicas(out)
 	return out, nil
 }

@@ -55,8 +55,9 @@ func distFrameTrainer(tb testing.TB, rank int) (*Trainer, *worker) {
 }
 
 // TestIterationFrameLayout pins the frame against its documented layout:
-// the section prefix, each section's size, one exact-size allocation, and a
-// split that hands back the very bytes each encoder wrote.
+// the section prefix, each section's size, a split that hands back the very
+// bytes each encoder wrote, and the rank's one frame buffer reused by the
+// next encode.
 func TestIterationFrameLayout(t *testing.T) {
 	tr, w := distFrameTrainer(t, 0)
 	frame := tr.encodeIterationFrame(w)
@@ -65,8 +66,8 @@ func TestIterationFrameLayout(t *testing.T) {
 	if queuedLen <= 16+4*tr.n {
 		t.Fatal("the iteration queued no updates; the frame under test is degenerate")
 	}
-	if want := iterFrameHeader + sumLen + queuedLen + 4*params; len(frame) != want || cap(frame) != want {
-		t.Fatalf("frame is %d bytes (cap %d), want exactly %d", len(frame), cap(frame), want)
+	if want := iterFrameHeader + sumLen + queuedLen + 4*params; len(frame) != want {
+		t.Fatalf("frame is %d bytes, want exactly %d", len(frame), want)
 	}
 	if got := binary.LittleEndian.Uint32(frame[0:]); int(got) != sumLen {
 		t.Errorf("summaryLen prefix %d, want %d", got, sumLen)
@@ -87,8 +88,8 @@ func TestIterationFrameLayout(t *testing.T) {
 	if !bytes.Equal(dense, appendDense(nil, tr.denseGrad[0])) {
 		t.Error("dense section differs from appendDense")
 	}
-	s, err := decodeSummary(sum, tr.n)
-	if err != nil || s.samples != w.iterSamples || s.loss != w.iterLoss {
+	var s distSummary
+	if err := decodeSummary(&s, sum, tr.n); err != nil || s.samples != w.iterSamples || s.loss != w.iterLoss {
 		t.Errorf("summary round-trip: %v / %+v", err, s)
 	}
 	back := make([]float32, params)
@@ -101,11 +102,15 @@ func TestIterationFrameLayout(t *testing.T) {
 		}
 	}
 
-	// An idle worker ships no dense section.
+	// An idle worker ships no dense section, and its frame is encoded over
+	// the busy one's bytes.
 	w.resetIdle()
 	idle := tr.encodeIterationFrame(w)
 	if _, _, dense, err := splitIterationFrame(idle, tr.n, params); err != nil || len(dense) != 0 {
 		t.Errorf("idle frame: dense %d bytes, err %v", len(dense), err)
+	}
+	if &idle[0] != &frame[0] {
+		t.Error("the idle frame was encoded into a fresh buffer, not the rank's reused one")
 	}
 }
 
@@ -232,7 +237,8 @@ func FuzzIterationFrame(f *testing.F) {
 		if iterFrameHeader+len(sum)+len(queued)+len(dense) != len(blob) {
 			t.Fatalf("sections %d+%d+%d do not tile the %d-byte frame", len(sum), len(queued), len(dense), len(blob))
 		}
-		if _, err := decodeSummary(sum, n); err != nil {
+		var s distSummary
+		if err := decodeSummary(&s, sum, n); err != nil {
 			t.Fatalf("accepted summary failed to decode: %v", err)
 		}
 		if len(dense) != 0 {

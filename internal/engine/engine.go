@@ -404,7 +404,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 			return nil, fmt.Errorf("engine: transport rank %d outside [0,%d)", r, n)
 		}
 		tr.SetRecvTimeout(cfg.Dist.RecvTimeout)
-		t.dist = &distState{coord: comm.NewCoordinator(tr), rank: tr.Rank()}
+		t.dist = &distState{coord: comm.NewCoordinator(tr), rank: tr.Rank(), sums: make([]distSummary, n)}
 	}
 	if cfg.Topo.Nodes > 1 {
 		t.nicOut = make([]int64, cfg.Topo.Nodes)
@@ -651,6 +651,9 @@ func (t *Trainer) Run() (*Result, error) {
 			}
 			t.checkSimTime(prevSim, simTime)
 			t.table.Commit()
+			if t.dist != nil {
+				t.dist.release()
+			}
 			if cfg.TrackConvergence {
 				res.StepNorms = append(res.StepNorms, math.Sqrt(t.table.TakeStepNormSq()))
 			}

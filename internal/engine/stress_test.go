@@ -108,7 +108,7 @@ func TestEngineRaceStress(t *testing.T) {
 // distStressMesh builds a connected transport mesh for the dist stress
 // test: the in-memory backend directly, or a real loopback TCP mesh with
 // pre-bound listeners so the peer list is known before any rank connects.
-func distStressMesh(t *testing.T, backend string, n int) []comm.Transport {
+func distStressMesh(t testing.TB, backend string, n int) []comm.Transport {
 	t.Helper()
 	if backend == "mem" {
 		mts := comm.NewMemNetwork(n)
