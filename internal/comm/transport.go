@@ -326,14 +326,16 @@ func (q *MessageQueue) wakeLocked() {
 }
 
 // Pop removes the head, blocking up to timeout (0: forever). A closed queue
-// drains its remaining items first, then returns its terminal error.
+// drains its remaining items first, then returns its terminal error. The
+// timeout's timer starts the first time Pop has to wait, so a pop that finds
+// a message queued allocates nothing.
 func (q *MessageQueue) Pop(timeout time.Duration) (*Message, error) {
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		tm := time.NewTimer(timeout)
-		defer tm.Stop()
-		deadline = tm.C
-	}
+	var tm *time.Timer
+	defer func() {
+		if tm != nil {
+			tm.Stop()
+		}
+	}()
 	for {
 		q.mu.Lock()
 		if len(q.items) > 0 {
@@ -355,6 +357,13 @@ func (q *MessageQueue) Pop(timeout time.Duration) (*Message, error) {
 		}
 		wake := q.wake
 		q.mu.Unlock()
+		var deadline <-chan time.Time
+		if timeout > 0 {
+			if tm == nil {
+				tm = time.NewTimer(timeout)
+			}
+			deadline = tm.C
+		}
 		select {
 		case <-wake:
 		case <-deadline:

@@ -50,6 +50,19 @@ var (
 	ErrShortFrame    = errors.New("comm: truncated frame")
 )
 
+// frameTooLargeError rejects a payload of n bytes with ErrFrameTooLarge. It
+// formats its message only when asked, so a decoder refusing a lying length
+// prefix allocates the error value and nothing else. fmt.Errorf would also
+// take a printer from a sync.Pool, which the race detector empties at random,
+// and the refusal's allocation count would vary from run to run.
+type frameTooLargeError struct{ n uint64 }
+
+func (e frameTooLargeError) Error() string {
+	return fmt.Sprintf("%v: %d bytes", ErrFrameTooLarge, e.n)
+}
+
+func (e frameTooLargeError) Unwrap() error { return ErrFrameTooLarge }
+
 // FrameSize returns the wire size of a frame carrying payloadLen bytes.
 // Both backends account ledger bytes with it, so a message sequence costs
 // the same number of ledger bytes no matter which backend carried it.
@@ -75,7 +88,7 @@ func AppendFrameHeader(buf []byte, from int, m *Message) ([]byte, error) {
 		return buf, fmt.Errorf("%w: %d", ErrBadType, int(m.Type))
 	}
 	if len(m.Payload) > MaxPayload {
-		return buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(m.Payload))
+		return buf, frameTooLargeError{uint64(len(m.Payload))}
 	}
 	if from < 0 || from > 0xffff {
 		return buf, fmt.Errorf("comm: sender rank %d does not fit the frame header", from)
@@ -109,7 +122,7 @@ func parseHeader(hdr []byte) (from int, m Message, payloadLen int, err error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[16:20])
 	if n > MaxPayload {
-		return 0, Message{}, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return 0, Message{}, 0, frameTooLargeError{uint64(n)}
 	}
 	m = Message{
 		Type: MsgType(hdr[5]),

@@ -205,13 +205,9 @@ func (w *worker) runIteration() {
 	}
 
 	// Build the dense input: per sample, concatenate its field embeddings.
-	for r := 0; r < bs; r++ {
-		row := w.input.Row(r)
-		for f := 0; f < fields; f++ {
-			src := w.embBuf.Row(int(batchIdx[r*fields+f]))
-			copy(row[f*dim:(f+1)*dim], src)
-		}
-	}
+	// Row k of input, viewed dim wide, is edge k = (sample, field).
+	edges := batchIdx[:bs*fields]
+	tensor.GatherRows(w.input.Data, w.embBuf.Data, edges, dim)
 
 	// Forward / loss / backward, through the batch-parallel wrapper.
 	logits := w.t.model.Forward(w.state, w.input, bs)
@@ -220,15 +216,12 @@ func (w *worker) runIteration() {
 	w.t.model.Grads(w.state, w.t.denseGrad[w.id])
 
 	// Scatter-add embedding gradients per unique feature, into embBuf: the
-	// gathered rows are already copied into input.
+	// gathered rows are already copied into input. Edges add in ascending
+	// (sample, field) order, so each unique row's sum is one fixed sequence
+	// of float32 additions (DESIGN §18).
 	gb := &tensor.Matrix{Rows: len(uniq), Cols: dim, Data: w.embBuf.Data[:len(uniq)*dim]}
 	gb.Zero()
-	for r := 0; r < bs; r++ {
-		drow := dInput.Row(r)
-		for f := 0; f < fields; f++ {
-			tensor.Add(drow[f*dim:(f+1)*dim], gb.Row(int(batchIdx[r*fields+f])))
-		}
-	}
+	tensor.ScatterAddRows(gb.Data, dInput.Data, edges, dim)
 
 	// Apply updates under the protocol.
 	var updComm float64

@@ -52,6 +52,10 @@ type linearState struct {
 	mask []float32 // the ReLU's mask, recorded by forward for backward
 	dW   *tensor.Matrix
 	dB   []float32
+	// outView and dInView are the headers forward and backward return,
+	// kept here so that returning them allocates nothing. Each is valid
+	// until the layer's next forward or backward on this state.
+	outView, dInView tensor.Matrix
 }
 
 // newLinearState allocates the layer's output (and ReLU mask when it trains)
@@ -76,7 +80,8 @@ func newLinearState(l *Linear, maxBatch int, relu bool, grads []float32) (*linea
 // first rows rows of in. A training state records the ReLU mask for backward.
 func (l *Linear) forward(st *linearState, in *tensor.Matrix, rows int) *tensor.Matrix {
 	st.in = in
-	out := &tensor.Matrix{Rows: rows, Cols: l.Out, Data: st.out.Data[:rows*l.Out]}
+	st.outView = tensor.Matrix{Rows: rows, Cols: l.Out, Data: st.out.Data[:rows*l.Out]}
+	out := &st.outView
 	inView := &tensor.Matrix{Rows: rows, Cols: l.In, Data: in.Data[:rows*l.In]}
 	tensor.MatMul(out, inView, l.W)
 	tensor.AddBias(out, l.B)
@@ -110,9 +115,9 @@ func (l *Linear) backward(st *linearState, dOut, dIn *tensor.Matrix) *tensor.Mat
 	if dIn == nil {
 		return nil
 	}
-	view := &tensor.Matrix{Rows: rows, Cols: l.In, Data: dIn.Data[:rows*l.In]}
-	tensor.MatMul(view, dOut, l.wt)
-	return view
+	st.dInView = tensor.Matrix{Rows: rows, Cols: l.In, Data: dIn.Data[:rows*l.In]}
+	tensor.MatMul(&st.dInView, dOut, l.wt)
+	return &st.dInView
 }
 
 // flatten appends the layer's parameters to dst and returns it.
