@@ -16,56 +16,59 @@ import (
 	"hetgmp/internal/dataset"
 )
 
-// Bigraph is the sample–embedding bipartite graph: the sample side in CSR
-// form, the embedding side as a degree vector.
+// Bigraph is the sample–embedding bipartite graph: the sample side is the
+// dataset's feature block with stride NumFields, the embedding side a
+// degree vector.
 type Bigraph struct {
 	NumSamples  int
 	NumFeatures int
 	NumFields   int
 
-	// Samples→features: sample i uses SampleFeatures(i).
-	sampleOff []int64
-	sampleAdj []int32
+	// adj is the dataset's Feats; nothing writes it after construction.
+	adj []int32
 
 	// Degree[x] is the number of (sample, x) edges, i.e. the access
 	// frequency p_x of embedding x.
 	Degree []int32
 }
 
-// FromDataset builds the bigraph for d. Duplicate features within one sample
-// (the same ID in two fields) contribute one edge per occurrence, matching
-// the lookup count a real embedding layer would perform.
+// FromDataset builds the bigraph over d's feature block, which it views
+// rather than copies. Duplicate features within one sample (the same ID in
+// two fields) contribute one edge per occurrence, matching the lookup count
+// a real embedding layer would perform. It panics, naming the first bad
+// sample, if d's samples are not views of d.Feats (dataset.CheckBlock): the
+// graph would partition data the trainer does not train on.
 func FromDataset(d *dataset.Dataset) *Bigraph {
+	if err := d.CheckBlock(); err != nil {
+		panic(fmt.Sprintf("bigraph: %v", err))
+	}
 	g := &Bigraph{
 		NumSamples:  len(d.Samples),
 		NumFeatures: d.NumFeatures,
 		NumFields:   d.NumFields,
+		adj:         d.Feats,
 		Degree:      make([]int32, d.NumFeatures),
 	}
-	edges := 0
-	for i := range d.Samples {
-		edges += len(d.Samples[i].Features)
+	for _, f := range g.adj {
+		g.Degree[f]++
 	}
-	g.sampleOff = make([]int64, g.NumSamples+1)
-	g.sampleAdj = make([]int32, 0, edges)
-	for i := range d.Samples {
-		g.sampleOff[i] = int64(len(g.sampleAdj))
-		for _, f := range d.Samples[i].Features {
-			g.sampleAdj = append(g.sampleAdj, f)
-			g.Degree[f]++
-		}
-	}
-	g.sampleOff[g.NumSamples] = int64(len(g.sampleAdj))
 	return g
 }
 
-// SampleFeatures returns the feature IDs used by sample i.
+// Views reports whether g's sample side is d's feature block, in which case
+// Degree equals d.FeatureFrequencies().
+func (g *Bigraph) Views(d *dataset.Dataset) bool {
+	return len(g.adj) == len(d.Feats) && len(g.Degree) == d.NumFeatures &&
+		(len(g.adj) == 0 || &g.adj[0] == &d.Feats[0])
+}
+
+// SampleFeatures returns sample i's feature IDs: a read-only view.
 func (g *Bigraph) SampleFeatures(i int) []int32 {
-	return g.sampleAdj[g.sampleOff[i]:g.sampleOff[i+1]]
+	return g.adj[i*g.NumFields : (i+1)*g.NumFields]
 }
 
 // NumEdges returns the total number of (sample, feature) edges.
-func (g *Bigraph) NumEdges() int64 { return int64(len(g.sampleAdj)) }
+func (g *Bigraph) NumEdges() int64 { return int64(len(g.adj)) }
 
 // DegreeStats summarises the embedding-side degree distribution, whose
 // power-law skew is the paper's core "Skewness" observation (Section 4).

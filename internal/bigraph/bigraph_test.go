@@ -1,7 +1,10 @@
 package bigraph
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +17,7 @@ func tinyDataset() *dataset.Dataset {
 	mk := func(a, b int32) dataset.Sample {
 		return dataset.Sample{Features: []int32{a, b}, Label: 1}
 	}
-	return &dataset.Dataset{
+	return (&dataset.Dataset{
 		Name:        "tiny",
 		NumFields:   2,
 		NumFeatures: 5,
@@ -25,7 +28,7 @@ func tinyDataset() *dataset.Dataset {
 			mk(1, 2), // sample 2
 			mk(0, 4), // sample 3
 		},
-	}
+	}).Pack()
 }
 
 func TestFromDatasetStructure(t *testing.T) {
@@ -94,6 +97,63 @@ func TestAdjacencyInverse(t *testing.T) {
 		t.Fatalf("dataset has %d edges, bigraph %d", edges, g.NumEdges())
 	}
 	checkDegrees(t, g)
+}
+
+// TestFromDatasetViewsSamples pins the one-copy layout: the graph's sample
+// side is the dataset's feature block itself, FromDataset allocates only the
+// degree vector, and a dataset whose samples are not views of its block is
+// refused by name.
+func TestFromDatasetViewsSamples(t *testing.T) {
+	ds, err := dataset.New(dataset.Avazu, 1e-4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := FromDataset(ds)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*ds.NumFeatures+1024); got > limit {
+		t.Errorf("FromDataset allocated %d bytes, want at most %d (the degree vector)", got, limit)
+	}
+	if !g.Views(ds) || &g.adj[0] != &ds.Feats[0] || len(g.adj) != len(ds.Feats) {
+		t.Fatal("adjacency does not alias the dataset's feature block")
+	}
+	for s := range ds.Samples {
+		if got, want := g.SampleFeatures(s), ds.Samples[s].Features; &got[0] != &want[0] || len(got) != len(want) {
+			t.Fatalf("SampleFeatures(%d) is not sample %d's features", s, s)
+		}
+	}
+	if !slices.Equal(g.Degree, ds.FeatureFrequencies()) {
+		t.Fatal("Degree differs from the dataset's feature frequencies")
+	}
+	// An equal copy of the samples is a different block.
+	copied := *ds
+	copied.Samples = slices.Clone(ds.Samples)
+	if g.Views(copied.Pack()) {
+		t.Fatal("Views accepted a copy of the block")
+	}
+
+	bad := tinyDataset()
+	bad.Samples[2].Features = slices.Clone(bad.Samples[2].Features)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sample 2's") {
+			t.Fatalf("FromDataset on a copied sample: recovered %v, want a panic naming sample 2", r)
+		}
+	}()
+	FromDataset(bad)
+}
+
+// BenchmarkFromDataset times the graph build at Avazu 1e-3: one pass over
+// the feature block and the degree vector's allocation.
+func BenchmarkFromDataset(b *testing.B) {
+	ds, err := dataset.New(dataset.Avazu, 1e-3, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FromDataset(ds)
+	}
 }
 
 func TestDegreeStats(t *testing.T) {

@@ -43,7 +43,63 @@ type Dataset struct {
 	// FieldOffset[f] is the first feature ID belonging to field f;
 	// FieldOffset[NumFields] == NumFeatures.
 	FieldOffset []int32
-	Samples     []Sample
+	// Feats is the one feature block: sample i's features are
+	// Feats[i*NumFields : (i+1)*NumFields]. Every constructor builds it, and
+	// Samples[i].Features is that row as a view capped at its end, so the
+	// samples exist once in memory (CheckBlock).
+	Feats   []FeatureID
+	Samples []Sample
+}
+
+// Row returns sample i's features: its row of Feats.
+func (d *Dataset) Row(i int) []FeatureID {
+	return d.Feats[i*d.NumFields : (i+1)*d.NumFields]
+}
+
+// viewRows points every Samples[i].Features at its row of Feats, capped so
+// an append to one sample cannot overwrite the next.
+func (d *Dataset) viewRows() {
+	f := d.NumFields
+	for i := range d.Samples {
+		d.Samples[i].Features = d.Feats[i*f : (i+1)*f : (i+1)*f]
+	}
+}
+
+// Pack copies every sample's features into one new block, sets Feats to it
+// and points the samples at their rows. It is for datasets built by hand:
+// every constructor returns a packed dataset. It panics if a sample does
+// not have NumFields features.
+func (d *Dataset) Pack() *Dataset {
+	f := d.NumFields
+	d.Feats = make([]FeatureID, len(d.Samples)*f)
+	for i := range d.Samples {
+		if n := len(d.Samples[i].Features); n != f {
+			panic(fmt.Sprintf("dataset: Pack: sample %d has %d features, want %d", i, n, f))
+		}
+		copy(d.Feats[i*f:], d.Samples[i].Features)
+	}
+	d.viewRows()
+	return d
+}
+
+// CheckBlock reports whether d holds its samples once: Feats has one row of
+// NumFields features per sample, and every Samples[i].Features is row i of
+// it, capped at the row's end. The error names the first sample that is
+// not such a view.
+func (d *Dataset) CheckBlock() error {
+	f := d.NumFields
+	if len(d.Feats) != len(d.Samples)*f {
+		return fmt.Errorf("dataset %s: feature block holds %d ids, want %d samples × %d fields",
+			d.Name, len(d.Feats), len(d.Samples), f)
+	}
+	for i := range d.Samples {
+		v := d.Samples[i].Features
+		if len(v) != f || cap(v) != f || (f > 0 && &v[0] != &d.Feats[i*f]) {
+			return fmt.Errorf("dataset %s: sample %d's features are not a capped view of row %d of Feats",
+				d.Name, i, i)
+		}
+	}
+	return nil
 }
 
 // FieldOf returns the field index owning feature id.
@@ -97,11 +153,16 @@ func (d *Dataset) Split(frac float64) (train, test *Dataset) {
 	if frac <= 0 || frac > 1 {
 		panic(fmt.Sprintf("dataset: Split fraction %v out of (0,1]", frac))
 	}
+	// Both halves view d's block; the train half is capped so appending to
+	// it cannot overwrite the test half.
 	n := int(float64(len(d.Samples)) * frac)
+	e := n * d.NumFields
 	train = &Dataset{Name: d.Name + "-train", NumFields: d.NumFields,
-		NumFeatures: d.NumFeatures, FieldOffset: d.FieldOffset, Samples: d.Samples[:n]}
+		NumFeatures: d.NumFeatures, FieldOffset: d.FieldOffset,
+		Feats: d.Feats[:e:e], Samples: d.Samples[:n:n]}
 	test = &Dataset{Name: d.Name + "-test", NumFields: d.NumFields,
-		NumFeatures: d.NumFeatures, FieldOffset: d.FieldOffset, Samples: d.Samples[n:]}
+		NumFeatures: d.NumFeatures, FieldOffset: d.FieldOffset,
+		Feats: d.Feats[e:], Samples: d.Samples[n:]}
 	return train, test
 }
 
@@ -253,10 +314,11 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	d.Samples = make([]Sample, cfg.NumSamples)
-	feats := make([]FeatureID, cfg.NumSamples*cfg.NumFields)
+	d.Feats = make([]FeatureID, cfg.NumSamples*cfg.NumFields)
+	d.viewRows()
 	for i := 0; i < cfg.NumSamples; i++ {
 		cluster := rng.Intn(cfg.NumClusters)
-		row := feats[i*cfg.NumFields : (i+1)*cfg.NumFields]
+		row := d.Samples[i].Features
 		logit := intercept + float64(clusterBias[cluster])
 		for f := 0; f < cfg.NumFields; f++ {
 			fs := &samplers[f]
@@ -285,7 +347,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		if rng.Float64() < 1/(1+math.Exp(-logit)) {
 			label = 1
 		}
-		d.Samples[i] = Sample{Features: row, Label: label}
+		d.Samples[i].Label = label
 	}
 	return d, nil
 }
@@ -328,10 +390,8 @@ func makeSegments(n, k int, exponent float64) []segment {
 // these counts.
 func (d *Dataset) FeatureFrequencies() []int32 {
 	freq := make([]int32, d.NumFeatures)
-	for i := range d.Samples {
-		for _, f := range d.Samples[i].Features {
-			freq[f]++
-		}
+	for _, f := range d.Feats {
+		freq[f]++
 	}
 	return freq
 }

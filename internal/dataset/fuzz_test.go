@@ -25,6 +25,9 @@ func FuzzLoad(f *testing.F) {
 		if len(d.FieldOffset) != d.NumFields+1 {
 			t.Fatalf("field offsets %d for %d fields", len(d.FieldOffset), d.NumFields)
 		}
+		if err := d.CheckBlock(); err != nil {
+			t.Fatal(err)
+		}
 		for i := range d.Samples {
 			if len(d.Samples[i].Features) != d.NumFields {
 				t.Fatalf("sample %d has %d features", i, len(d.Samples[i].Features))

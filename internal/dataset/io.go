@@ -28,9 +28,8 @@ func Save(w io.Writer, d *Dataset) error {
 	}
 	fmt.Fprintln(bw)
 	for i := range d.Samples {
-		s := &d.Samples[i]
-		fmt.Fprintf(bw, "%g", s.Label)
-		for _, f := range s.Features {
+		fmt.Fprintf(bw, "%g", d.Samples[i].Label)
+		for _, f := range d.Row(i) {
 			fmt.Fprintf(bw, " %d", f)
 		}
 		fmt.Fprintln(bw)
@@ -86,7 +85,6 @@ func Load(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: bad label: %w", line, err)
 		}
-		feats := make([]FeatureID, d.NumFields)
 		for f := 0; f < d.NumFields; f++ {
 			v, err := strconv.Atoi(parts[1+f])
 			if err != nil {
@@ -95,9 +93,11 @@ func Load(r io.Reader) (*Dataset, error) {
 			if v < 0 || v >= d.NumFeatures {
 				return nil, fmt.Errorf("dataset: line %d: feature %d out of range [0,%d)", line, v, d.NumFeatures)
 			}
-			feats[f] = FeatureID(v)
+			d.Feats = append(d.Feats, FeatureID(v))
 		}
-		d.Samples = append(d.Samples, Sample{Features: feats, Label: float32(label)})
+		d.Samples = append(d.Samples, Sample{Label: float32(label)})
 	}
+	// The block is complete: point the samples at their rows.
+	d.viewRows()
 	return d, sc.Err()
 }

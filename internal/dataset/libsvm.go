@@ -107,13 +107,14 @@ func LoadLibSVM(r io.Reader, numFields int) (*Dataset, error) {
 	d.NumFeatures = int(off)
 
 	d.Samples = make([]Sample, len(raws))
-	store := make([]FeatureID, len(raws)*numFields)
+	d.Feats = make([]FeatureID, len(raws)*numFields)
+	d.viewRows()
 	for i, rs := range raws {
-		row := store[i*numFields : (i+1)*numFields]
+		row := d.Samples[i].Features
 		for f := 0; f < numFields; f++ {
 			row[f] = d.FieldOffset[f] + vocab[f][rs.feats[f]]
 		}
-		d.Samples[i] = Sample{Features: row, Label: rs.label}
+		d.Samples[i].Label = rs.label
 	}
 	return d, nil
 }

@@ -36,14 +36,15 @@ func (w *worker) prepBatch(batch []int32) {
 	cfg := &w.t.cfg
 	p := &w.prep
 	fields := cfg.Train.NumFields
+	feats, samples := cfg.Train.Feats, cfg.Train.Samples
 	p.bs = len(batch)
 	// Stage the batch first: every iteration of this loop is independent, so
 	// the cache misses on the shuffled samples overlap instead of queueing
 	// behind the dedup's loop-carried state.
 	for r, si := range batch {
-		s := &cfg.Train.Samples[si]
-		p.labels[r] = s.Label
-		copy(p.batchIdx[r*fields:(r+1)*fields], s.Features)
+		p.labels[r] = samples[si].Label
+		o := int(si) * fields
+		copy(p.batchIdx[r*fields:(r+1)*fields], feats[o:o+fields])
 	}
 	// Then replace each staged id by its slot, in the same (sample, field)
 	// order, so uniq keeps first-occurrence order: a new id takes the next

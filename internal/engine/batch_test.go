@@ -200,6 +200,7 @@ func TestPrepBatchMatchesMapDedup(t *testing.T) {
 		distinct.Samples[s] = dataset.Sample{Features: feats, Label: float32(s % 2)}
 		allDistinct[s] = int32(s)
 	}
+	distinct.Pack()
 	tr.cfg.Train = &distinct
 	check("all distinct", allDistinct)
 	if len(p.uniq) != full*fields {

@@ -3,6 +3,7 @@ package engine
 import (
 	"unsafe"
 
+	"hetgmp/internal/dataset"
 	"hetgmp/internal/embed"
 	"hetgmp/internal/nn"
 	"hetgmp/internal/obs"
@@ -21,11 +22,11 @@ func bufBytes(m *tensor.Matrix) int64 {
 // Footprint reports the run's measured memory layout as a component→bytes
 // tree (internal/obs/memacct): the embedding table, the dense model
 // (weights + batch-parallel activation shards), the partition assignment,
-// the bigraph (when the caller threaded it through Config.Graph), and the
-// engine's own buffers, every per-worker one included
-// (TestFootprintCountsEveryWorkerBuffer). Walks append-grown table buffers,
-// so call only from single-threaded sections (between iterations or
-// post-run).
+// the bigraph's degrees (when the caller threaded it through Config.Graph),
+// the Train and Test samples, and the engine's own buffers, every
+// per-worker one included (TestFootprintCountsEveryWorkerBuffer). Walks
+// append-grown table buffers, so call only from single-threaded sections
+// (between iterations or post-run).
 func (t *Trainer) Footprint() obs.Footprint {
 	const ownerEntry = int64(unsafe.Sizeof(embed.OwnerTraffic{}))
 	var dedup, prep, gather, order int64
@@ -66,7 +67,28 @@ func (t *Trainer) Footprint() obs.Footprint {
 	if t.cfg.Graph != nil {
 		children = append(children, t.cfg.Graph.Footprint())
 	}
+	children = append(children, datasetFootprint(t.cfg.Train, t.cfg.Test))
 	return memacct.Node("run", children...)
+}
+
+// datasetFootprint counts the samples the run trains and evaluates on: the
+// feature ids and the per-sample headers. Split cuts Train and Test from one
+// array, the train half capped where the test half begins, so their
+// capacities sum to the array's; a Test that is Train is counted once.
+func datasetFootprint(train, test *dataset.Dataset) memacct.Footprint {
+	sets := []*dataset.Dataset{train}
+	if test != nil && test != train {
+		sets = append(sets, test)
+	}
+	var ids, headers int64
+	for _, d := range sets {
+		ids += int64(cap(d.Feats)) * int64(unsafe.Sizeof(dataset.FeatureID(0)))
+		headers += int64(cap(d.Samples)) * int64(unsafe.Sizeof(dataset.Sample{}))
+	}
+	return memacct.Node("dataset",
+		memacct.Leaf("feature_block", ids),
+		memacct.Leaf("sample_headers", headers),
+	)
 }
 
 // capacityStat assembles the RunReport's capacity block, nil when the run

@@ -3,9 +3,11 @@ package engine
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"hetgmp/internal/cluster"
 	"hetgmp/internal/consistency"
+	"hetgmp/internal/dataset"
 	"hetgmp/internal/embed"
 	"hetgmp/internal/idmap"
 	"hetgmp/internal/obs/analyze"
@@ -35,7 +37,7 @@ func TestReportCarriesCapacity(t *testing.T) {
 		t.Errorf("footprint root %q, want run", c.Footprint.Name)
 	}
 	// Every stateful component the issue names must appear in the tree.
-	for _, path := range []string{"run.table", "run.model", "run.model.weights_transposed", "run.partition", "run.engine"} {
+	for _, path := range []string{"run.table", "run.model", "run.model.weights_transposed", "run.partition", "run.engine", "run.dataset"} {
 		if n, ok := c.Footprint.Find(path); !ok || n.Bytes <= 0 {
 			t.Errorf("footprint missing or empty branch %s", path)
 		}
@@ -174,5 +176,46 @@ func TestFootprintCountsEveryWorkerBuffer(t *testing.T) {
 	}
 	if len(tr.nicOut) == 0 {
 		t.Fatal("two-node fixture allocated no NIC tallies")
+	}
+}
+
+// TestFootprintCountsDatasetOnce holds the dataset node to the samples'
+// bytes: Split's Train and Test halves are one block, counted once with the
+// per-sample headers, and the bigraph, whose sample side is that block,
+// reports only the degrees it owns.
+func TestFootprintCountsDatasetOnce(t *testing.T) {
+	f := newFixture(t)
+	samples := len(f.train.Samples) + len(f.test.Samples)
+	wantBlock := int64(samples*f.train.NumFields) * 4
+	wantHeaders := int64(samples) * int64(unsafe.Sizeof(dataset.Sample{}))
+	for _, tc := range []struct {
+		name        string
+		test        *dataset.Dataset
+		block, head int64
+	}{
+		{"split halves", f.test, wantBlock, wantHeaders},
+		{"test is train", f.train, int64(len(f.train.Feats)) * 4,
+			int64(len(f.train.Samples)) * int64(unsafe.Sizeof(dataset.Sample{}))},
+	} {
+		tr, err := NewTrainer(f.config(t, func(c *Config) { c.Test, c.Graph = tc.test, f.g }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := tr.Footprint()
+		if err := fp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for leaf, want := range map[string]int64{
+			"run.dataset.feature_block":  tc.block,
+			"run.dataset.sample_headers": tc.head,
+			"run.bigraph":                int64(f.train.NumFeatures) * 4,
+		} {
+			if n, ok := fp.Find(leaf); !ok || n.Bytes != want {
+				t.Errorf("%s: %s holds %d bytes (found %v), want %d", tc.name, leaf, n.Bytes, ok, want)
+			}
+		}
+		if _, ok := fp.Find("run.bigraph.sample_csr"); ok {
+			t.Errorf("%s: the bigraph counts the dataset's block again", tc.name)
+		}
 	}
 }

@@ -150,6 +150,15 @@ func (c *Config) defaults() error {
 	if err := c.Topo.Validate(); err != nil {
 		return err
 	}
+	// Batches and evaluation read the datasets' feature blocks.
+	if err := c.Train.CheckBlock(); err != nil {
+		return fmt.Errorf("engine: Train: %w", err)
+	}
+	if c.Test != nil {
+		if err := c.Test.CheckBlock(); err != nil {
+			return fmt.Errorf("engine: Test: %w", err)
+		}
+	}
 	if c.Topo.NumWorkers() != c.Assign.N {
 		return fmt.Errorf("engine: topology has %d workers but assignment has %d partitions",
 			c.Topo.NumWorkers(), c.Assign.N)
@@ -369,7 +378,13 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	n := cfg.Topo.NumWorkers()
 	check := invariant.Auto(cfg.CheckInvariants)
-	freq := cfg.Train.FeatureFrequencies()
+	// A graph over Train's own block has already counted the frequencies.
+	var freq []int32
+	if cfg.Graph != nil && cfg.Graph.Views(cfg.Train) {
+		freq = cfg.Graph.Degree
+	} else {
+		freq = cfg.Train.FeatureFrequencies()
+	}
 	table, err := embed.NewTable(embed.Config{
 		NumFeatures: cfg.Train.NumFeatures,
 		Dim:         cfg.Dim,

@@ -28,7 +28,6 @@ func (t *Trainer) Evaluate() float64 {
 	}
 	t.evalScores = t.evalScores[:0]
 	t.evalLabels = t.evalLabels[:0]
-	fields := test.NumFields
 	dim := cfg.Dim
 	for start := 0; start < n; start += evalBatch {
 		endIdx := start + evalBatch
@@ -37,12 +36,11 @@ func (t *Trainer) Evaluate() float64 {
 		}
 		bs := endIdx - start
 		for r := 0; r < bs; r++ {
-			s := &test.Samples[start+r]
 			row := t.evalInput.Row(r)
-			for f := 0; f < fields; f++ {
-				copy(row[f*dim:(f+1)*dim], t.table.PrimaryRow(s.Features[f]))
+			for f, x := range test.Row(start + r) {
+				copy(row[f*dim:(f+1)*dim], t.table.PrimaryRow(x))
 			}
-			t.evalLabels = append(t.evalLabels, s.Label)
+			t.evalLabels = append(t.evalLabels, test.Samples[start+r].Label)
 		}
 		logits := t.model.Forward(t.evalState, t.evalInput, bs)
 		t.evalScores = append(t.evalScores, logits...)

@@ -76,8 +76,8 @@ func runFingerprint(t *testing.T, cfg Config) string {
 
 // TestRunFingerprintPinned holds a replicated, graph-bounded two-epoch run
 // to its pinned fingerprint: flat at GOMAXPROCS 1 and 8, tiered (hot 1/8,
-// cold 1/2) at 8, and parameter-server mode. Batches of 160 rows span three
-// dense grid ranges.
+// cold 1/2) at 8 with and without Config.Graph, and parameter-server mode.
+// Batches of 160 rows span three dense grid ranges.
 //
 // amd64 only: the dense kernels there are assembly that never fuses a
 // multiply-add, while on other targets the Go compiler may fuse x*y+z in
@@ -98,6 +98,12 @@ func TestRunFingerprintPinned(t *testing.T) {
 		{"flat", 1, nil, fingerprintModelParallel},
 		{"flat", 8, nil, fingerprintModelParallel},
 		{"tiered", 8, func(c *Config) { c.Tiers = tierTestConfig(f.train.NumFeatures) }, fingerprintModelParallel},
+		// With the graph threaded through, the table's frequencies are its
+		// degrees instead of a rescan of Train: the same counts, the same bits.
+		{"tiered, graph-fed", 8, func(c *Config) {
+			c.Tiers = tierTestConfig(f.train.NumFeatures)
+			c.Graph = f.g
+		}, fingerprintModelParallel},
 		{"ps", 8, func(c *Config) { c.PS = &PSConfig{Hosts: 2} }, fingerprintPS},
 	}
 	for _, c := range cases {

@@ -89,9 +89,9 @@ func TestHybridParallelDeterminism(t *testing.T) {
 		{"empty", 0, nil},
 		{"one-sample", 5, []dataset.Sample{{Features: []int32{0, 3}, Label: 1}}},
 	} {
-		small := bigraph.FromDataset(&dataset.Dataset{
+		small := bigraph.FromDataset((&dataset.Dataset{
 			Name: tc.name, NumFields: 2, NumFeatures: tc.features, Samples: tc.samples,
-		})
+		}).Pack())
 		want, err := Hybrid(small, base())
 		if err != nil {
 			t.Fatal(err)

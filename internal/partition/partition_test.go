@@ -13,13 +13,13 @@ func tinyGraph() *bigraph.Bigraph {
 	mk := func(a, b int32) dataset.Sample {
 		return dataset.Sample{Features: []int32{a, b}, Label: 1}
 	}
-	return bigraph.FromDataset(&dataset.Dataset{
+	return bigraph.FromDataset((&dataset.Dataset{
 		Name: "tiny", NumFields: 2, NumFeatures: 5,
 		FieldOffset: []int32{0, 2, 5},
 		Samples: []dataset.Sample{
 			mk(0, 2), mk(0, 3), mk(1, 2), mk(0, 4),
 		},
-	})
+	}).Pack())
 }
 
 func testDataset(t *testing.T, name string, scale float64) *bigraph.Bigraph {
